@@ -64,7 +64,6 @@ from .reconstructors import (
     Dataset,
     ExternalReconstructor,
     LearnedLinearReconstructor,
-    OracleReconstructor,
     PinvReconstructor,
     Reconstructor,
     TikhonovReconstructor,

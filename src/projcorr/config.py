@@ -2,7 +2,6 @@
 
 A configuration file is a JSON object with the sections below; every CLI
 flag overrides its JSON counterpart.  Unknown keys are rejected so typos
-
 fail loudly.  See the README for the full schema.
 """
 
@@ -117,10 +116,8 @@ class CorrectionSpec:
     mode: str = "exact"
     lam: float = 0.0
     lambda_grid: Optional[List[float]] = None
-    solver: str = "direct"
     cg_tol: float = DEFAULT_CG_TOL
     cg_max_iter: Optional[int] = None
-    precompute: bool = True
     objective: str = "psnr"
 
     @staticmethod

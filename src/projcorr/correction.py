@@ -9,8 +9,10 @@ two corrections are provided:
 
 * regularized:  x* = (I + lam * A^T S^-1 A)^-1 (fhat + lam * A^T S^-1 y)
   the minimizer of ||x - fhat||^2 + lam * (A x - y)^T S^-1 (A x - y)
-  for noise covariance S, solved directly (cached Cholesky factor per
-  (operator, lam, S)) or by conjugate gradient.
+  for noise covariance S.  With S = sigma^2 I (or no noise model, S = I)
+  it is the engine's closed-form spectral filter with weight lam / sigma^2;
+  every other engine and covariance is solved by matrix-free conjugate
+  gradient.
 
 ``lambda_grid_search`` picks the regularization weight maximizing mean
 reconstruction quality over a paired dataset.
@@ -23,11 +25,12 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor  # noqa: F401 -- perfbench/spans.py wraps it by name
 
 from .errors import ParameterError, UnsupportedConfigError
 from .metrics import psnr, ssim
 from .noise import NoiseModel
+from .operators import as_vector
 from .pinv import DEFAULT_CG_TOL, PinvEngine, conjugate_gradient
 
 logger = logging.getLogger(__name__)
@@ -45,59 +48,21 @@ class CorrectionConfig:
     mode: str = "exact"
     lam: float = 0.0
     noise: NoiseModel = field(default_factory=NoiseModel.none)
-    solver: str = "direct"
     cg_tol: float = DEFAULT_CG_TOL
     cg_max_iter: Optional[int] = None
-    precompute: bool = True
 
     def __post_init__(self):
         if self.mode not in ("exact", "regularized"):
             raise ParameterError(f"unknown correction mode {self.mode!r}")
-        if self.solver not in ("direct", "cg"):
-            raise ParameterError(f"unknown solver {self.solver!r}")
         if self.mode == "regularized" and self.lam < 0:
             raise ParameterError(f"regularization weight must be >= 0, got {self.lam}")
 
 
 def exact_correction(engine: PinvEngine, y, fhat) -> np.ndarray:
     """Closest point to ``fhat`` with A x = y: A+ y + (I - A+ A) fhat."""
-    y = engine._check_measurement(y)
-    fhat = engine._check_signal(fhat)
+    y = as_vector(y, engine.op.m, "measurement")
+    fhat = as_vector(fhat, engine.op.n, "signal")
     return engine.pinv_apply(y) + engine.nullspace_projector_apply(fhat)
-
-
-# Factorizations retained per engine; a grid search revisits one key per
-# weight, so a small window is enough to make reuse across images free.
-_REG_CACHE_SIZE = 4
-
-
-def _engine_dense(engine: PinvEngine) -> np.ndarray:
-    dense = getattr(engine, "_dense_matrix", None)
-    if dense is None:
-        dense = engine.op.to_dense()
-        setattr(engine, "_dense_matrix", dense)
-    return dense
-
-
-def _regularized_direct(engine: PinvEngine, y, fhat, config: CorrectionConfig):
-    op = engine.op
-    a = _engine_dense(engine)
-    cache = getattr(engine, "_reg_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(engine, "_reg_cache", cache)
-    key = (config.lam, config.noise.token())
-    cho = cache.get(key)
-    if cho is None:
-        sinv_a = config.noise.inv_apply(a)
-        system = np.eye(op.n) + config.lam * (a.T @ sinv_a)
-        cho = cho_factor(system)
-        if config.precompute:
-            while len(cache) >= _REG_CACHE_SIZE:
-                cache.pop(next(iter(cache)))
-            cache[key] = cho
-    rhs = fhat + config.lam * (a.T @ config.noise.inv_apply(y))
-    return cho_solve(cho, rhs)
 
 
 def _regularized_cg(engine: PinvEngine, y, fhat, config: CorrectionConfig):
@@ -114,24 +79,28 @@ def _regularized_cg(engine: PinvEngine, y, fhat, config: CorrectionConfig):
 def regularized_correction(
     engine: PinvEngine, y, fhat, config: CorrectionConfig
 ) -> np.ndarray:
-    """Minimizer of ||x - fhat||^2 + lam (A x - y)^T S^-1 (A x - y)."""
+    """Minimizer of ||x - fhat||^2 + lam (A x - y)^T S^-1 (A x - y).
+
+    Uses the engine's closed form for S = sigma^2 I and for no noise model,
+    and conjugate gradient otherwise.
+    """
     if config.lam < 0:
         raise ParameterError(f"regularization weight must be >= 0, got {config.lam}")
-    y = engine._check_measurement(y)
-    fhat = engine._check_signal(fhat)
-    config.noise.check_dim(engine.op.m)
+    y = as_vector(y, engine.op.m, "measurement")
+    fhat = as_vector(fhat, engine.op.n, "signal")
+    noise = config.noise
+    noise.check_dim(engine.op.m)
     if config.lam == 0.0:
         return fhat.copy()
-    if config.noise.form == "dense" and not engine.op.materializable():
+    if noise.form == "dense" and not engine.op.materializable():
         raise UnsupportedConfigError(
             "dense noise covariance requires a materializable operator"
         )
-    if config.solver == "direct":
-        if not engine.op.materializable():
-            raise UnsupportedConfigError(
-                "direct solver requires a materializable operator; use solver='cg'"
-            )
-        return _regularized_direct(engine, y, fhat, config)
+    if noise.form in ("none", "isotropic"):
+        weight = config.lam if noise.form == "none" else config.lam / noise.sigma ** 2
+        out = engine.regularized_solve(y, fhat, weight)
+        if out is not None:
+            return out
     return _regularized_cg(engine, y, fhat, config)
 
 
@@ -161,7 +130,6 @@ def lambda_grid_search(
     reconstructor: Callable[[np.ndarray], np.ndarray],
     grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     noise: Optional[NoiseModel] = None,
-    solver: str = "direct",
     objective: str = "psnr",
 ) -> LambdaGridResult:
     """Pick the regularization weight with the best mean quality.
@@ -191,7 +159,7 @@ def lambda_grid_search(
     best_lambda = grid[0]
     best_score = -np.inf
     for lam in grid:
-        config = CorrectionConfig(mode="regularized", lam=lam, noise=noise, solver=solver)
+        config = CorrectionConfig(mode="regularized", lam=lam, noise=noise)
         psnrs, ssims = [], []
         for (x, y), fhat in zip(pairs, recons):
             corrected = regularized_correction(engine, y, fhat, config)

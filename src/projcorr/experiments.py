@@ -228,7 +228,7 @@ def _build_reconstructor(
     if spec.kind == "pinv":
         return PinvReconstructor(engine)
     if spec.kind == "tikhonov":
-        return TikhonovReconstructor(op, spec.alpha)
+        return TikhonovReconstructor(engine, spec.alpha)
     if spec.kind == "external":
         if spec.source_dir is None:
             raise ParameterError("external reconstructor needs source_dir")
@@ -304,10 +304,8 @@ def run_correct(config: ExperimentConfig) -> dict:
         mode=config.correction.mode,
         lam=config.correction.lam,
         noise=config.noise.model(sigma),
-        solver=config.correction.solver,
         cg_tol=config.correction.cg_tol,
         cg_max_iter=config.correction.cg_max_iter,
-        precompute=config.correction.precompute,
     )
     out = Path(config.output_dir)
     (out / "corrected").mkdir(parents=True, exist_ok=True)
@@ -497,7 +495,6 @@ def run_sweep_lambda(config: ExperimentConfig) -> dict:
             recon,
             grid=grid,
             noise=noise,
-            solver=config.correction.solver,
             objective=config.correction.objective,
         )
         net_psnr, net_ssim = [], []
@@ -551,7 +548,7 @@ def run_bench(config: ExperimentConfig) -> dict:
         elif kind == "pinv":
             recon = PinvReconstructor(engine)
         elif kind == "tikhonov":
-            recon = TikhonovReconstructor(op, config.reconstructor.alpha)
+            recon = TikhonovReconstructor(engine, config.reconstructor.alpha)
         elif kind == "learned_linear":
             recon = fit_learned_linear(op, train_set, alpha=config.reconstructor.alpha)
         elif kind == "trainable_linear":

@@ -113,8 +113,8 @@ def ssim(
 
 def nullspace_consistency(engine: PinvEngine, y, out) -> float:
     """||A (out - A+ y)||^2: zero iff ``out`` keeps the measured component."""
-    y = engine._check_measurement(y)
-    out = engine._check_signal(out)
+    y = engine.op._check_measurement(y)
+    out = engine.op._check_signal(out)
     r = engine.op.apply(out - engine.pinv_apply(y))
     return float(r @ r)
 
@@ -166,10 +166,7 @@ def noise_bias_trace(engine: PinvEngine, noise: NoiseModel) -> float:
                 "noise trace needs a factorization; the operator is too large "
                 "to materialize"
             )
-        svd = getattr(engine, "_trace_svd", None)
-        if svd is None:
-            svd = SvdEngine(engine.op)
-            setattr(engine, "_trace_svd", svd)
+        svd = SvdEngine(engine.op)
         return _svd_trace(svd.u, svd.s, noise)
     raise UnsupportedConfigError(f"noise trace unsupported for {engine!r}")
 
@@ -190,7 +187,7 @@ def monte_carlo_noise_error(
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    x = engine._check_signal(x)
+    x = engine.op._check_signal(x)
     if noise.form == "none":
         return 0.0
     draws = noise.sample(generator(seed), op.m, trials)

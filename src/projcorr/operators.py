@@ -256,7 +256,11 @@ class RandomProjectionOperator(SensingOperator):
         self.family = family
         self._dense: Optional[np.ndarray] = None
         if self.materializable():
-            self._dense = np.vstack([self._row(r) for r in range(m)])
+            # rows written in place: a list of m rows would grow the heap by
+            # the matrix size on every construction
+            self._dense = np.empty((m, n))
+            for r in range(m):
+                self._dense[r] = self._row(r)
             self._dense.setflags(write=False)
 
     def _row(self, r: int) -> np.ndarray:

@@ -11,6 +11,13 @@ method needs at construction time:
 
 The complement projector is never materialized; it is always applied as
 ``v - range_projector_apply(v)``.
+
+The first three engines hold a decomposition A = U S V^T (singular vectors,
+kept mask indices with s = 1, DFT bins with s = |transfer|), so they also
+solve the Tikhonov-type problem argmin ||x - fhat||^2 + w ||A x - y||^2 in
+closed form (``regularized_solve``): each singular direction keeps its
+component of ``fhat`` and moves towards the measured one by the filter
+factor w s^2 / (1 + w s^2).  The CG engine holds none and returns None.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, SolverError, UnsupportedConfigError
+from .errors import ParameterError, SolverError, UnsupportedConfigError
 from .operators import CircularBlurOperator, MaskOperator, SensingOperator
 
 DEFAULT_RCOND = 1e-10
@@ -66,18 +73,6 @@ class PinvEngine:
     def __init__(self, op: SensingOperator):
         self.op = op
 
-    def _check_measurement(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if y.size != self.op.m:
-            raise ShapeError("measurement length", self.op.m, y.size)
-        return y
-
-    def _check_signal(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64).ravel()
-        if v.size != self.op.n:
-            raise ShapeError("signal length", self.op.n, v.size)
-        return v
-
     def pinv_apply(self, y) -> np.ndarray:
         """Minimum-norm least-squares solution A+ y."""
         raise NotImplementedError
@@ -86,9 +81,16 @@ class PinvEngine:
         """Orthogonal projection A+ A v onto the row space of A."""
         raise NotImplementedError
 
+    def regularized_solve(self, y, fhat, weight: float) -> Optional[np.ndarray]:
+        """argmin ||x - fhat||^2 + weight ||A x - y||^2 in closed form.
+
+        Returns None when the engine holds no decomposition of A.
+        """
+        return None
+
     def nullspace_projector_apply(self, v) -> np.ndarray:
         """(I - A+ A) v, applied as the complement of the range projector."""
-        v = self._check_signal(v)
+        v = self.op._check_signal(v)
         return v - self.range_projector_apply(v)
 
     def pinv_matrix(self) -> np.ndarray:
@@ -125,12 +127,19 @@ class SvdEngine(PinvEngine):
         return self.s
 
     def pinv_apply(self, y) -> np.ndarray:
-        y = self._check_measurement(y)
+        y = self.op._check_measurement(y)
         return self.vt.T @ ((self.u.T @ y) / self.s) if self.s.size else np.zeros(self.op.n)
 
     def range_projector_apply(self, v) -> np.ndarray:
-        v = self._check_signal(v)
+        v = self.op._check_signal(v)
         return self.vt.T @ (self.vt @ v)
+
+    def regularized_solve(self, y, fhat, weight: float) -> np.ndarray:
+        y = self.op._check_measurement(y)
+        fhat = self.op._check_signal(fhat)
+        s = self.s
+        step = weight * s * (self.u.T @ y - s * (self.vt @ fhat)) / (1.0 + weight * s * s)
+        return fhat + self.vt.T @ step
 
     def pinv_matrix(self) -> np.ndarray:
         if not self.s.size:
@@ -153,13 +162,20 @@ class MaskEngine(PinvEngine):
         return np.ones(self.op.m)
 
     def pinv_apply(self, y) -> np.ndarray:
-        return self.op.adjoint(self._check_measurement(y))
+        return self.op.adjoint(self.op._check_measurement(y))
 
     def range_projector_apply(self, v) -> np.ndarray:
-        v = self._check_signal(v)
+        v = self.op._check_signal(v)
         out = np.zeros_like(v)
         out[self.op.keep] = v[self.op.keep]
         return out
+
+    def regularized_solve(self, y, fhat, weight: float) -> np.ndarray:
+        y = self.op._check_measurement(y)
+        x = self.op._check_signal(fhat).copy()
+        keep = self.op.keep
+        x[keep] = (x[keep] + weight * y) / (1.0 + weight)
+        return x
 
     def pinv_matrix(self) -> np.ndarray:
         return self.op.to_dense().T
@@ -193,19 +209,18 @@ class SpectralEngine(PinvEngine):
         per_channel = np.sort(np.abs(self.op.transfer[self.retained]))[::-1]
         return np.repeat(per_channel, g.channels)
 
-    def _per_channel(self, flat: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        g = self.op.geometry
-        img = flat.reshape(g.height, g.width, g.channels)
-        out = np.empty_like(img)
-        for c in range(g.channels):
-            out[:, :, c] = np.fft.ifft2(np.fft.fft2(img[:, :, c]) * multiplier).real
-        return out.ravel()
-
     def pinv_apply(self, y) -> np.ndarray:
-        return self._per_channel(self._check_measurement(y), self.inverse_multiplier)
+        return self.op._filter(self.op._check_measurement(y), self.inverse_multiplier)
 
     def range_projector_apply(self, v) -> np.ndarray:
-        return self._per_channel(self._check_signal(v), self.retained.astype(np.float64))
+        return self.op._filter(self.op._check_signal(v), self.retained.astype(np.float64))
+
+    def regularized_solve(self, y, fhat, weight: float) -> np.ndarray:
+        # bin-wise (F fhat + w t F y) / (1 + w |t|^2); A^T A is |t|^2 per bin
+        t = self.op.transfer
+        denom = 1.0 + weight * (t.real ** 2 + t.imag ** 2)
+        return (self.op._filter(self.op._check_signal(fhat), 1.0 / denom)
+                + self.op._filter(self.op._check_measurement(y), weight * t / denom))
 
 
 class CgEngine(PinvEngine):
@@ -233,12 +248,12 @@ class CgEngine(PinvEngine):
         return self.op.apply(self.op.adjoint(z))
 
     def pinv_apply(self, y) -> np.ndarray:
-        y = self._check_measurement(y)
+        y = self.op._check_measurement(y)
         z = conjugate_gradient(self._gram_apply, y, self.cg_tol, self.cg_max_iter)
         return self.op.adjoint(z)
 
     def range_projector_apply(self, v) -> np.ndarray:
-        return self.pinv_apply(self.op.apply(self._check_signal(v)))
+        return self.pinv_apply(self.op.apply(self.op._check_signal(v)))
 
 
 _DEFAULT_METHODS = {

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .correction import CorrectionConfig, regularized_correction
 from .errors import (
     DivergenceError,
     MissingOutputError,
@@ -111,20 +112,25 @@ class PinvReconstructor(Reconstructor):
 
 
 class TikhonovReconstructor(Reconstructor):
-    """x = (A^T A + alpha I)^-1 A^T y via a cached SPD factorization."""
+    """x = (A^T A + alpha I)^-1 A^T y.
+
+    This is the regularized correction of ``fhat = 0`` with weight
+    ``1 / alpha`` and no noise model, so it uses the engine's closed-form
+    filter where the engine has one and conjugate gradient otherwise.
+    """
 
     kind = "tikhonov"
 
-    def __init__(self, op: SensingOperator, alpha: float):
+    def __init__(self, engine: PinvEngine, alpha: float):
         if alpha <= 0:
             raise ParameterError(f"tikhonov alpha must be > 0, got {alpha}")
-        self.op = op
+        self.engine = engine
         self.alpha = float(alpha)
-        a = op.to_dense()
-        self._cho = cho_factor(a.T @ a + self.alpha * np.eye(op.n))
+        self._config = CorrectionConfig(mode="regularized", lam=1.0 / self.alpha)
 
     def reconstruct(self, y, image_id=None) -> np.ndarray:
-        return cho_solve(self._cho, self.op.adjoint(y))
+        zero = np.zeros(self.engine.op.n)
+        return regularized_correction(self.engine, y, zero, self._config)
 
 
 class LearnedLinearReconstructor(Reconstructor):
@@ -188,8 +194,8 @@ class ExternalReconstructor(Reconstructor):
         return out
 
 
-class OracleReconstructor:
-    """Ideal reconstructor used as a test fixture.
+def make_oracle_reconstructor(engine: PinvEngine) -> Callable:
+    """Ideal reconstructor ``oracle(y, x_true)`` used as a test fixture.
 
     Given the true signal, returns the minimum-norm solution of the
     measurements plus the true signal's null-space component, i.e. the output
@@ -197,17 +203,10 @@ class OracleReconstructor:
     to this output leaves it unchanged.
     """
 
-    kind = "oracle"
+    def oracle(y, x_true) -> np.ndarray:
+        return engine.pinv_apply(y) + engine.nullspace_projector_apply(x_true)
 
-    def __init__(self, engine: PinvEngine):
-        self.engine = engine
-
-    def __call__(self, y, x_true) -> np.ndarray:
-        return self.engine.pinv_apply(y) + self.engine.nullspace_projector_apply(x_true)
-
-
-def make_oracle_reconstructor(engine: PinvEngine) -> OracleReconstructor:
-    return OracleReconstructor(engine)
+    return oracle
 
 
 def fit_learned_linear(

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projcorr import (
+    CircularBlurOperator,
     CorrectionConfig,
     DEFAULT_LAMBDA_GRID,
     DenseOperator,
+    Geometry,
     MaskOperator,
     NoiseModel,
     ParameterError,
@@ -17,6 +19,8 @@ from projcorr import (
     exact_correction,
     lambda_grid_search,
     make_engine,
+    make_gaussian_blur,
+    make_inpainting_mask,
     make_random_projection,
     regularized_correction,
 )
@@ -129,9 +133,8 @@ class TestRegularizedCorrection:
             engine, y, fhat, CorrectionConfig(mode="regularized", lam=lam, noise=noise)
         )
         via_cg = regularized_correction(
-            engine, y, fhat,
-            CorrectionConfig(mode="regularized", lam=lam, noise=noise, solver="cg",
-                             cg_tol=1e-12),
+            make_engine(op, method="cg_minimum_norm"), y, fhat,
+            CorrectionConfig(mode="regularized", lam=lam, noise=noise, cg_tol=1e-12),
         )
         assert np.linalg.norm(direct - via_cg) <= 1e-8 * max(np.linalg.norm(direct), 1.0)
         residual = (direct - fhat) + lam * a.T @ noise.inv_apply(a @ direct - y)
@@ -198,18 +201,7 @@ class TestRegularizedCorrection:
         op = make_random_projection(32, 8, seed=1, materialize_limit=0)
         engine = make_engine(op, method="cg_minimum_norm")
         config = CorrectionConfig(
-            mode="regularized", lam=0.1, noise=NoiseModel.dense(np.eye(8)), solver="cg"
-        )
-        with pytest.raises(UnsupportedConfigError):
-            regularized_correction(
-                engine, rng.standard_normal(8), rng.standard_normal(32), config
-            )
-
-    def test_direct_solver_needs_materializable_operator(self, rng):
-        op = make_random_projection(32, 8, seed=1, materialize_limit=0)
-        engine = make_engine(op, method="cg_minimum_norm")
-        config = CorrectionConfig(
-            mode="regularized", lam=0.1, noise=NoiseModel.isotropic(0.1), solver="direct"
+            mode="regularized", lam=0.1, noise=NoiseModel.dense(np.eye(8))
         )
         with pytest.raises(UnsupportedConfigError):
             regularized_correction(
@@ -224,8 +216,7 @@ class TestRegularizedCorrection:
         fhat = rng.standard_normal(32)
         out_stream = regularized_correction(
             make_engine(streamed, method="cg_minimum_norm"), y, fhat,
-            CorrectionConfig(mode="regularized", lam=0.02, noise=noise, solver="cg",
-                             cg_tol=1e-12),
+            CorrectionConfig(mode="regularized", lam=0.02, noise=noise, cg_tol=1e-12),
         )
         out_direct = regularized_correction(
             make_engine(dense, method="cg_minimum_norm"), y, fhat,
@@ -233,43 +224,91 @@ class TestRegularizedCorrection:
         )
         assert np.linalg.norm(out_stream - out_direct) <= 1e-8
 
-    def test_factorization_reused_across_measurements(self, rng):
-        op = DenseOperator(rng.standard_normal((3, 5)))
-        engine = make_engine(op)
-        config = CorrectionConfig(
-            mode="regularized", lam=0.1, noise=NoiseModel.isotropic(0.5)
+
+def _dense_engine(rng, m, n, rank):
+    a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    return make_engine(DenseOperator(a))
+
+
+def _same_state(engine, before):
+    after = vars(engine)
+    return after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
+
+
+class TestClosedFormFilter:
+    @pytest.mark.parametrize("build", [
+        lambda rng: _dense_engine(rng, 4, 7, 4),
+        lambda rng: _dense_engine(rng, 5, 7, 2),    # rank-deficient, wide
+        lambda rng: _dense_engine(rng, 8, 5, 3),    # rank-deficient, tall
+        lambda rng: make_engine(make_inpainting_mask(Geometry(6, 5, 2), 0.5, seed=4)),
+        lambda rng: make_engine(make_gaussian_blur(Geometry(8, 6, 1), (1.5, 0.7), 2.0)),
+        # asymmetric taps: a complex transfer function
+        lambda rng: make_engine(CircularBlurOperator(
+            Geometry(6, 8, 3), [[0.5, 0.2], [0.1, 0.2]], origin=(0, 1))),
+    ], ids=["svd", "svd_rank_deficient_wide", "svd_rank_deficient_tall", "mask",
+            "spectral_1ch", "spectral_3ch"])
+    @pytest.mark.parametrize("noise", [NoiseModel.none(), NoiseModel.isotropic(0.1)],
+                             ids=["none", "isotropic"])
+    def test_matches_dense_solve(self, rng, monkeypatch, build, noise):
+        def no_cg(*args):
+            raise AssertionError("closed-form engine fell back to conjugate gradient")
+
+        monkeypatch.setattr("projcorr.correction._regularized_cg", no_cg)
+        engine = build(rng)
+        a = engine.op.to_dense()
+        y = rng.standard_normal(engine.op.m)
+        fhat = rng.standard_normal(engine.op.n)
+        lam = 0.05
+        out = regularized_correction(
+            engine, y, fhat, CorrectionConfig(mode="regularized", lam=lam, noise=noise)
         )
-        regularized_correction(engine, rng.standard_normal(3), rng.standard_normal(5), config)
-        cache = engine._reg_cache
-        assert len(cache) == 1
-        regularized_correction(engine, rng.standard_normal(3), rng.standard_normal(5), config)
-        assert len(cache) == 1
-        other = CorrectionConfig(mode="regularized", lam=0.2, noise=NoiseModel.isotropic(0.5))
-        regularized_correction(engine, rng.standard_normal(3), rng.standard_normal(5), other)
-        assert len(cache) == 2
+        weight = lam if noise.form == "none" else lam / noise.sigma ** 2
+        ref = np.linalg.solve(np.eye(engine.op.n) + weight * a.T @ a, fhat + weight * a.T @ y)
+        assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_factorization_cache_is_bounded(self, rng):
-        from projcorr.correction import _REG_CACHE_SIZE
+    def test_blur_grid_search_factorizes_nothing(self, rng, monkeypatch):
+        from projcorr.experiments import make_smooth_images
 
-        op = DenseOperator(rng.standard_normal((3, 5)))
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense factorization on the spectral path")
+
+        g = Geometry(16, 16, 1)
+        op = make_gaussian_blur(g, (1.5, 0.5))
         engine = make_engine(op)
-        noise = NoiseModel.isotropic(0.5)
-        for lam in np.linspace(0.01, 0.2, _REG_CACHE_SIZE + 3):
-            config = CorrectionConfig(mode="regularized", lam=float(lam), noise=noise)
-            regularized_correction(
-                engine, rng.standard_normal(3), rng.standard_normal(5), config
-            )
-        assert len(engine._reg_cache) == _REG_CACHE_SIZE
+        for target in ("projcorr.correction.cho_factor", "projcorr.noise.cho_factor",
+                       "scipy.linalg.cho_factor", "numpy.linalg.svd",
+                       "numpy.linalg.solve", "numpy.linalg.cholesky"):
+            monkeypatch.setattr(target, forbidden)
+        monkeypatch.setattr(type(op), "to_dense", forbidden)
+        before = dict(vars(engine))
+        sigma = 0.05
+        pairs = []
+        for x in make_smooth_images(g, 3, seed=2):
+            pairs.append((x, op.apply(x) + sigma * rng.standard_normal(op.m)))
+        result = lambda_grid_search(engine, pairs, op.adjoint,
+                                    noise=NoiseModel.isotropic(sigma))
+        assert [row["lambda"] for row in result.table] == list(DEFAULT_LAMBDA_GRID)
+        assert _same_state(engine, before)
 
-    def test_precompute_false_skips_cache(self, rng):
-        op = DenseOperator(rng.standard_normal((3, 5)))
+    @pytest.mark.parametrize("geometry", [Geometry(128, 128, 1), Geometry(64, 64, 3)],
+                             ids=["128x128", "64x64x3"])
+    def test_large_blur_is_stationary(self, rng, geometry):
+        # both operators exceed the dense materialization limit
+        op = make_gaussian_blur(geometry, (3.0, 0.15))
+        assert not op.materializable()
         engine = make_engine(op)
-        config = CorrectionConfig(
-            mode="regularized", lam=0.1, noise=NoiseModel.isotropic(0.5),
-            precompute=False,
+        sigma, lam = 0.05, 1e-3
+        fhat = rng.random(op.n)
+        y = op.apply(rng.random(op.n)) + sigma * rng.standard_normal(op.m)
+        out = regularized_correction(
+            engine, y, fhat,
+            CorrectionConfig(mode="regularized", lam=lam, noise=NoiseModel.isotropic(sigma)),
         )
-        regularized_correction(engine, rng.standard_normal(3), rng.standard_normal(5), config)
-        assert len(engine._reg_cache) == 0
+        weight = lam / sigma ** 2
+        residual = (out - fhat) + weight * op.adjoint(op.apply(out) - y)
+        assert np.linalg.norm(residual) <= 1e-8 * (
+            np.linalg.norm(fhat) + np.linalg.norm(y) + 1.0
+        )
 
 
 class TestCorrectDispatch:
@@ -306,6 +345,18 @@ class TestCorrectDispatch:
         with pytest.raises(ParameterError):
             CorrectionConfig(mode="projective")
 
+    @pytest.mark.parametrize("mode", ["exact", "regularized"])
+    @pytest.mark.parametrize("target", ["y", "fhat"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, rng, mode, target, bad):
+        op = make_gaussian_blur(Geometry(32, 32, 1), (3.0, 0.15))
+        engine = make_engine(op)
+        inputs = {"y": rng.random(op.m), "fhat": rng.random(op.n)}
+        inputs[target][5] = bad
+        config = CorrectionConfig(mode=mode, lam=1e-3, noise=NoiseModel.isotropic(0.05))
+        with pytest.raises(ParameterError, match="non-finite"):
+            correct(engine, inputs["y"], inputs["fhat"], config)
+
 
 class TestLambdaGridSearch:
     def test_perfect_reconstructor_ties_to_smallest(self, full_row_rank_factory, rng):
@@ -325,8 +376,8 @@ class TestLambdaGridSearch:
         assert all(s == np.inf or s > 250.0 for s in scores)
 
     def test_exact_ties_break_to_smallest(self, rng):
-        # identity operator with 1 + lambda a perfect square keeps the
-        # factorized solve exact, so every grid point scores identically
+        # identity operator with y = fhat: the closed-form step
+        # lam (y - fhat) / (1 + lam) is exactly zero at every grid point
         engine = make_engine(DenseOperator(np.eye(4)))
         x = rng.standard_normal(4)
         result = lambda_grid_search(

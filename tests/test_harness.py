@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -466,3 +469,16 @@ def test_smooth_images_deterministic_and_bounded():
     for a, b in zip(imgs_a, imgs_b):
         assert np.array_equal(a, b)
         assert a.min() >= 0.0 and a.max() <= 1.0
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/spans.py rebinds package names by attribute; a name it expects
+    # but the package no longer binds fails here instead of in a traced run.
+    # A fresh interpreter keeps the wrapping out of the other tests.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    result = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

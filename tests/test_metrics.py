@@ -249,9 +249,11 @@ class TestNoiseBiasTrace:
         cg = CgEngine(op)
         svd = make_engine(op, method="svd_dense")
         noise = NoiseModel.isotropic(0.2)
+        before = dict(vars(cg))
         assert noise_bias_trace(cg, noise) == pytest.approx(
             noise_bias_trace(svd, noise), rel=1e-10
         )
+        assert vars(cg) == before
 
     def test_streamed_operator_unsupported(self):
         op = make_random_projection(64, 8, seed=5, materialize_limit=0)

@@ -49,13 +49,22 @@ class TestReconstructKinds:
     def test_tikhonov_huge_alpha_vanishes(self, rng):
         a = rng.standard_normal((3, 5))
         op = DenseOperator(a)
-        recon = TikhonovReconstructor(op, alpha=1e12)
+        recon = TikhonovReconstructor(make_engine(op), alpha=1e12)
         y = rng.standard_normal(3)
         assert np.linalg.norm(recon(y)) <= 1e-9 * np.linalg.norm(a.T @ y)
 
+    @pytest.mark.parametrize("method", ["svd_dense", "cg_minimum_norm"])
+    def test_tikhonov_matches_normal_equations(self, rng, method):
+        a = rng.standard_normal((4, 7))
+        recon = TikhonovReconstructor(make_engine(DenseOperator(a), method=method), 0.3)
+        y = rng.standard_normal(4)
+        ref = np.linalg.solve(a.T @ a + 0.3 * np.eye(7), a.T @ y)
+        assert np.linalg.norm(recon(y) - ref) <= 1e-9 * np.linalg.norm(ref)
+
     def test_tikhonov_requires_positive_alpha(self, rng):
+        engine = make_engine(DenseOperator(rng.standard_normal((2, 3))))
         with pytest.raises(ParameterError):
-            TikhonovReconstructor(DenseOperator(rng.standard_normal((2, 3))), alpha=0.0)
+            TikhonovReconstructor(engine, alpha=0.0)
 
     def test_learned_with_pinv_weights_matches_pinv(self, rng):
         a = rng.standard_normal((3, 5))
