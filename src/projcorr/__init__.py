@@ -21,7 +21,6 @@ from .errors import (
     MissingOutputError,
     ParameterError,
     ProjcorrError,
-    RankError,
     ShapeError,
     SolverError,
     UnsupportedConfigError,

@@ -39,10 +39,6 @@ class UnsupportedConfigError(ProjcorrError, ValueError):
     """The requested combination of operator/noise/solver is not supported."""
 
 
-class RankError(ProjcorrError, ValueError):
-    """Normal equations are singular; regularization is required."""
-
-
 class DivergenceError(ProjcorrError, RuntimeError):
     """Gradient descent diverged."""
 

@@ -6,8 +6,9 @@ Besides MSE/PSNR/SSIM this module provides:
   strays from "minimum-norm solution plus null-space component" form;
 * ``range_residual``        -- ||A out - y||^2, raw measurement misfit;
 * ``noise_bias_trace``      -- Tr(A+ S (A+)^T), the expected squared error a
-  consistency-preserving reconstructor inherits from noise covariance S,
-  with a Monte-Carlo estimator to cross-check it.
+  consistency-preserving reconstructor inherits from noise covariance S.
+  On an engine's spectrum it is sum_i (U^H S U)_ii / |s_i|^2 over the
+  retained directions; ``monte_carlo_noise_error`` cross-checks it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.signal import correlate2d
 from .errors import ParameterError, ShapeError, UnsupportedConfigError
 from .noise import NoiseModel
 from .operators import Geometry, SensingOperator
-from .pinv import CgEngine, MaskEngine, PinvEngine, SpectralEngine, SvdEngine
+from .pinv import CgEngine, PinvEngine, SvdEngine
 from .rng import generator
 
 SSIM_WINDOW = 11
@@ -121,54 +122,26 @@ def nullspace_consistency(engine: PinvEngine, y, out) -> float:
 
 def range_residual(op: SensingOperator, y, out) -> float:
     """||A out - y||^2: raw measurement misfit of a reconstruction."""
-    r = op.apply(out) - np.asarray(y, dtype=np.float64).ravel()
+    r = op.apply(out) - op._check_measurement(y)
     return float(r @ r)
 
 
-def _svd_trace(u: np.ndarray, s: np.ndarray, noise: NoiseModel) -> float:
-    if s.size == 0:
-        return 0.0
-    if noise.form == "isotropic":
-        return float(noise.sigma ** 2 * np.sum(1.0 / s ** 2))
-    if noise.form == "diagonal":
-        weights = (u * u * noise.variances[:, None]).sum(axis=0)
-        return float(np.sum(weights / s ** 2))
-    quad = np.einsum("ji,jk,ki->i", u, noise.covariance, u)
-    return float(np.sum(quad / s ** 2))
-
-
 def noise_bias_trace(engine: PinvEngine, noise: NoiseModel) -> float:
-    """Tr(A+ S (A+)^T) computed from the engine's cached factorization."""
+    """Tr(A+ S (A+)^T) = sum_i (U^H S U)_ii |1/s_i|^2 on the engine's spectrum.
+
+    A CG engine holds no spectrum; its operator is factorized here.
+    """
     noise.check_dim(engine.op.m)
     if noise.form == "none":
         return 0.0
-    if isinstance(engine, SvdEngine):
-        return _svd_trace(engine.u, engine.s, noise)
-    if isinstance(engine, MaskEngine):
-        if noise.form == "isotropic":
-            return float(noise.sigma ** 2 * engine.op.m)
-        if noise.form == "diagonal":
-            return float(noise.variances.sum())
-        return float(np.trace(noise.covariance))
-    if isinstance(engine, SpectralEngine):
-        g = engine.op.geometry
-        inv_sq = np.sum(1.0 / np.abs(engine.op.transfer[engine.retained]) ** 2)
-        if noise.form == "isotropic":
-            return float(noise.sigma ** 2 * g.channels * inv_sq)
-        if noise.form == "diagonal":
-            return float(noise.variances.sum() * inv_sq / (g.height * g.width))
-        raise UnsupportedConfigError(
-            "dense noise covariance is not supported by the spectral engine"
-        )
     if isinstance(engine, CgEngine):
         if not engine.op.materializable():
             raise UnsupportedConfigError(
                 "noise trace needs a factorization; the operator is too large "
                 "to materialize"
             )
-        svd = SvdEngine(engine.op)
-        return _svd_trace(svd.u, svd.s, noise)
-    raise UnsupportedConfigError(f"noise trace unsupported for {engine!r}")
+        engine = SvdEngine(engine.op)
+    return float(np.sum(engine._noise_diagonal(noise) * np.abs(engine.inverse) ** 2))
 
 
 def monte_carlo_noise_error(

@@ -109,13 +109,3 @@ class NoiseModel:
         if self.form == "diagonal":
             return np.sqrt(self.variances)[:, None] * g
         return np.linalg.cholesky(self.covariance) @ g
-
-    def token(self) -> tuple:
-        """Hashable cache key describing this model."""
-        if self.form == "none":
-            return ("none",)
-        if self.form == "isotropic":
-            return ("isotropic", self.sigma)
-        if self.form == "diagonal":
-            return ("diagonal", self.variances.tobytes())
-        return ("dense", self.covariance.tobytes())

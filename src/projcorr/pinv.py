@@ -1,23 +1,32 @@
 """Pseudoinverse engines: apply A+, the projector A+A, and I - A+A.
 
-One engine is bound to one operator and caches whatever factorization its
-method needs at construction time:
+One engine is bound to one operator.  Every engine but the CG one holds a
+decomposition A = U diag(s) V^H, computed once at construction:
 
 * ``svd_dense``       -- truncated SVD of the materialized matrix
-* ``mask_analytic``   -- A+ = A^T for selection operators (orthonormal rows)
-* ``spectral_fft``    -- per-frequency inversion for circular filtering
+* ``mask_analytic``   -- U = I, V = the kept columns of the identity, s = 1
+* ``spectral_fft``    -- U = V = the per-channel DFT, s = conj(transfer) per
+                         frequency bin (the multiplier ``apply`` uses)
 * ``cg_minimum_norm`` -- matrix-free: solve A A^T z = y, return A^T z
                          (valid for full-row-rank operators)
 
-The complement projector is never materialized; it is always applied as
-``v - range_projector_apply(v)``.
+A decomposition engine implements one transform, ``_filter``:
 
-The first three engines hold a decomposition A = U S V^T (singular vectors,
-kept mask indices with s = 1, DFT bins with s = |transfer|), so they also
-solve the Tikhonov-type problem argmin ||x - fhat||^2 + w ||A x - y||^2 in
-closed form (``regularized_solve``): each singular direction keeps its
-component of ``fhat`` and moves towards the measured one by the filter
-factor w s^2 / (1 + w s^2).  The CG engine holds none and returns None.
+    fhat + V (phi * U^H y - psi * V^H fhat)
+
+and every operation is a choice of filter factors on its spectrum ``s``.
+Directions with |s| <= rcond * max|s| are null directions (not retained).
+
+* ``pinv_apply``                -- phi = 1/s on retained directions, 0 elsewhere
+* ``nullspace_projector_apply`` -- psi = 1 on retained directions
+* ``range_projector_apply``     -- v - (I - A+ A) v
+* ``regularized_solve``         -- argmin ||x - fhat||^2 + w ||A x - y||^2:
+                                   phi = w conj(s) / (1 + w |s|^2) and
+                                   psi = w |s|^2 / (1 + w |s|^2) on every
+                                   direction, so none divides by a small s
+
+The CG engine holds no decomposition: it applies A+ by CG, derives the
+projectors from it and has no closed-form regularized solve.
 """
 
 from __future__ import annotations
@@ -66,32 +75,54 @@ def conjugate_gradient(
 
 
 class PinvEngine:
-    """Base class; subclasses implement pinv_apply and range_projector_apply."""
+    """A+, both projectors and the regularized solve as filters on ``s``.
+
+    Subclasses hand their spectrum ``s`` to this constructor and implement
+    ``_filter``; ``CgEngine`` instead overrides the operations it computes.
+    """
 
     method: str = "abstract"
 
-    def __init__(self, op: SensingOperator):
+    def __init__(self, op: SensingOperator, s: np.ndarray, rcond: float = DEFAULT_RCOND):
         self.op = op
+        self.rcond = float(rcond)
+        self.s = s
+        magnitude = np.abs(s)
+        self.retained = magnitude > self.rcond * magnitude.max(initial=0.0)
+        self.inverse = np.zeros_like(s)
+        self.inverse[self.retained] = 1.0 / s[self.retained]
+
+    def _filter(self, y, fhat, phi, psi) -> np.ndarray:
+        """fhat + V (phi U^H y - psi V^H fhat); a None input counts as zero."""
+        raise NotImplementedError
+
+    def _noise_diagonal(self, noise):
+        """diag(U^H S U): the variance of noise with covariance S along each U."""
+        raise NotImplementedError
 
     def pinv_apply(self, y) -> np.ndarray:
         """Minimum-norm least-squares solution A+ y."""
-        raise NotImplementedError
+        return self._filter(self.op._check_measurement(y), None, self.inverse, None)
+
+    def nullspace_projector_apply(self, v) -> np.ndarray:
+        """(I - A+ A) v: v without its components along retained directions."""
+        return self._filter(None, self.op._check_signal(v), None, self.retained)
 
     def range_projector_apply(self, v) -> np.ndarray:
         """Orthogonal projection A+ A v onto the row space of A."""
-        raise NotImplementedError
+        v = self.op._check_signal(v)
+        return v - self._filter(None, v, None, self.retained)
 
     def regularized_solve(self, y, fhat, weight: float) -> Optional[np.ndarray]:
         """argmin ||x - fhat||^2 + weight ||A x - y||^2 in closed form.
 
         Returns None when the engine holds no decomposition of A.
         """
-        return None
-
-    def nullspace_projector_apply(self, v) -> np.ndarray:
-        """(I - A+ A) v, applied as the complement of the range projector."""
-        v = self.op._check_signal(v)
-        return v - self.range_projector_apply(v)
+        y = self.op._check_measurement(y)
+        fhat = self.op._check_signal(fhat)
+        power = np.abs(self.s) ** 2
+        denom = 1.0 + weight * power
+        return self._filter(y, fhat, weight * np.conj(self.s) / denom, weight * power / denom)
 
     def pinv_matrix(self) -> np.ndarray:
         """Materialized n x m pseudoinverse (column-by-column fallback)."""
@@ -113,80 +144,65 @@ class SvdEngine(PinvEngine):
     method = "svd_dense"
 
     def __init__(self, op: SensingOperator, rcond: float = DEFAULT_RCOND):
-        super().__init__(op)
-        self.rcond = float(rcond)
         a = op.to_dense()
         u, s, vt = np.linalg.svd(a, full_matrices=False)
-        rank = int(np.sum(s > self.rcond * s[0])) if s.size and s[0] > 0 else 0
+        rank = int(np.sum(s > rcond * s[0])) if s.size and s[0] > 0 else 0
+        super().__init__(op, s[:rank], rcond)
         self.u = u[:, :rank]
-        self.s = s[:rank]
         self.vt = vt[:rank]
 
-    @property
-    def singular_values(self) -> np.ndarray:
-        return self.s
+    def _filter(self, y, fhat, phi, psi) -> np.ndarray:
+        coef = 0.0 if y is None else phi * (self.u.T @ y)
+        if fhat is None:
+            return self.vt.T @ coef
+        return fhat + self.vt.T @ (coef - psi * (self.vt @ fhat))
 
-    def pinv_apply(self, y) -> np.ndarray:
-        y = self.op._check_measurement(y)
-        return self.vt.T @ ((self.u.T @ y) / self.s) if self.s.size else np.zeros(self.op.n)
-
-    def range_projector_apply(self, v) -> np.ndarray:
-        v = self.op._check_signal(v)
-        return self.vt.T @ (self.vt @ v)
-
-    def regularized_solve(self, y, fhat, weight: float) -> np.ndarray:
-        y = self.op._check_measurement(y)
-        fhat = self.op._check_signal(fhat)
-        s = self.s
-        step = weight * s * (self.u.T @ y - s * (self.vt @ fhat)) / (1.0 + weight * s * s)
-        return fhat + self.vt.T @ step
+    def _noise_diagonal(self, noise):
+        if noise.form == "isotropic":
+            return noise.sigma ** 2
+        if noise.form == "diagonal":
+            return noise.variances @ (self.u * self.u)
+        return np.sum(self.u * (noise.covariance @ self.u), axis=0)
 
     def pinv_matrix(self) -> np.ndarray:
-        if not self.s.size:
-            return np.zeros((self.op.n, self.op.m))
-        return self.vt.T @ np.diag(1.0 / self.s) @ self.u.T
+        return (self.vt.T * self.inverse) @ self.u.T
 
 
 class MaskEngine(PinvEngine):
-    """A+ = A^T for selection operators; projectors are index masks."""
+    """Selection operators: A+ = A^T, the projectors are index masks."""
 
     method = "mask_analytic"
 
     def __init__(self, op: MaskOperator):
         if not isinstance(op, MaskOperator):
             raise ParameterError("mask_analytic engine requires a mask operator")
-        super().__init__(op)
+        super().__init__(op, np.ones(op.m))
 
-    @property
-    def singular_values(self) -> np.ndarray:
-        return np.ones(self.op.m)
-
-    def pinv_apply(self, y) -> np.ndarray:
-        return self.op.adjoint(self.op._check_measurement(y))
-
-    def range_projector_apply(self, v) -> np.ndarray:
-        v = self.op._check_signal(v)
-        out = np.zeros_like(v)
-        out[self.op.keep] = v[self.op.keep]
+    def _filter(self, y, fhat, phi, psi) -> np.ndarray:
+        keep = self.op.keep
+        out = np.zeros(self.op.n) if fhat is None else fhat.copy()
+        if y is not None:
+            out[keep] += phi * y
+        if fhat is not None:
+            out[keep] -= psi * fhat[keep]
         return out
 
-    def regularized_solve(self, y, fhat, weight: float) -> np.ndarray:
-        y = self.op._check_measurement(y)
-        x = self.op._check_signal(fhat).copy()
-        keep = self.op.keep
-        x[keep] = (x[keep] + weight * y) / (1.0 + weight)
-        return x
+    def _noise_diagonal(self, noise):
+        if noise.form == "isotropic":
+            return noise.sigma ** 2
+        if noise.form == "diagonal":
+            return noise.variances
+        return np.diag(noise.covariance)
 
     def pinv_matrix(self) -> np.ndarray:
         return self.op.to_dense().T
 
 
 class SpectralEngine(PinvEngine):
-    """Frequency-domain inversion for circular filtering operators.
+    """Frequency-domain filtering for circular blur operators.
 
-    Frequency bins with ``|transfer| <= rcond * max|transfer|`` are treated
-    as null directions: the inverse multiplier is set to 0 there and the
-    range projector excludes them.
+    The spectrum is one value per DFT bin, shared by all channels; bins with
+    ``|transfer| <= rcond * max|transfer|`` are null directions.
     """
 
     method = "spectral_fft"
@@ -194,33 +210,25 @@ class SpectralEngine(PinvEngine):
     def __init__(self, op: CircularBlurOperator, rcond: float = DEFAULT_RCOND):
         if not isinstance(op, CircularBlurOperator):
             raise ParameterError("spectral_fft engine requires a circular blur operator")
-        super().__init__(op)
-        self.rcond = float(rcond)
-        magnitude = np.abs(op.transfer)
-        self.retained = magnitude > self.rcond * magnitude.max()
-        # apply() multiplies by conj(transfer); invert that factor bin-wise.
-        inv = np.zeros_like(op.transfer)
-        inv[self.retained] = 1.0 / np.conj(op.transfer[self.retained])
-        self.inverse_multiplier = inv
+        super().__init__(op, np.conj(op.transfer), rcond)
 
-    @property
-    def singular_values(self) -> np.ndarray:
+    def _filter(self, y, fhat, phi, psi) -> np.ndarray:
+        out = np.zeros(self.op.n) if fhat is None else fhat - self.op._filter(fhat, psi)
+        if y is not None:
+            out += self.op._filter(y, phi)
+        return out
+
+    def _noise_diagonal(self, noise):
+        # summed over channels; a unitary DFT spreads every pixel's variance
+        # evenly over the H * W bins
         g = self.op.geometry
-        per_channel = np.sort(np.abs(self.op.transfer[self.retained]))[::-1]
-        return np.repeat(per_channel, g.channels)
-
-    def pinv_apply(self, y) -> np.ndarray:
-        return self.op._filter(self.op._check_measurement(y), self.inverse_multiplier)
-
-    def range_projector_apply(self, v) -> np.ndarray:
-        return self.op._filter(self.op._check_signal(v), self.retained.astype(np.float64))
-
-    def regularized_solve(self, y, fhat, weight: float) -> np.ndarray:
-        # bin-wise (F fhat + w t F y) / (1 + w |t|^2); A^T A is |t|^2 per bin
-        t = self.op.transfer
-        denom = 1.0 + weight * (t.real ** 2 + t.imag ** 2)
-        return (self.op._filter(self.op._check_signal(fhat), 1.0 / denom)
-                + self.op._filter(self.op._check_measurement(y), weight * t / denom))
+        if noise.form == "isotropic":
+            return noise.sigma ** 2 * g.channels
+        if noise.form == "diagonal":
+            return noise.variances.sum() / (g.height * g.width)
+        raise UnsupportedConfigError(
+            "dense noise covariance is not supported by the spectral engine"
+        )
 
 
 class CgEngine(PinvEngine):
@@ -238,7 +246,7 @@ class CgEngine(PinvEngine):
         cg_tol: float = DEFAULT_CG_TOL,
         cg_max_iter: Optional[int] = None,
     ):
-        super().__init__(op)
+        self.op = op
         self.cg_tol = float(cg_tol)
         self.cg_max_iter = (
             int(cg_max_iter) if cg_max_iter is not None else 10 * min(op.m, op.n)
@@ -254,6 +262,13 @@ class CgEngine(PinvEngine):
 
     def range_projector_apply(self, v) -> np.ndarray:
         return self.pinv_apply(self.op.apply(self.op._check_signal(v)))
+
+    def nullspace_projector_apply(self, v) -> np.ndarray:
+        v = self.op._check_signal(v)
+        return v - self.range_projector_apply(v)
+
+    def regularized_solve(self, y, fhat, weight: float) -> None:
+        return None
 
 
 _DEFAULT_METHODS = {

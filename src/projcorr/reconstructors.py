@@ -16,18 +16,17 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor  # noqa: F401 -- perfbench/spans.py wraps it by name
 
 from .correction import CorrectionConfig, regularized_correction
 from .errors import (
     DivergenceError,
     MissingOutputError,
     ParameterError,
-    RankError,
     ShapeError,
 )
 from .operators import SensingOperator, operator_norm
-from .pinv import PinvEngine
+from .pinv import DEFAULT_RCOND, PinvEngine
 from .rng import generator
 
 
@@ -187,8 +186,6 @@ class ExternalReconstructor(Reconstructor):
         if not path.exists():
             raise MissingOutputError(f"no stored reconstruction for id {image_id!r} at {path}")
         out = read_nit1(path).ravel()
-        if not np.all(np.isfinite(out)):
-            raise ParameterError(f"stored reconstruction {path} has non-finite entries")
         if self.n is not None and out.size != self.n:
             raise ShapeError("stored reconstruction length", self.n, out.size)
         return out
@@ -214,10 +211,12 @@ def fit_learned_linear(
     dataset: Dataset,
     alpha: float = 0.0,
 ) -> LearnedLinearReconstructor:
-    """Ridge fit of W y + b to the dataset via centered normal equations.
+    """Ridge fit of W y + b to the dataset on the thin SVD of the measurements.
 
-    Minimizes sum_i ||W y_i + b - x_i||^2 + alpha ||W||_F^2.  A singular
-    system with alpha = 0 raises RankError; pass alpha > 0 instead.
+    Minimizes sum_i ||W y_i + b - x_i||^2 + alpha ||W||_F^2.  With centered
+    measurements Yc = P diag(sigma) Q^T, W = Xc Q diag(g) P^T where
+    g = sigma / (sigma^2 + alpha) on sigma > rcond * max(sigma) and 0
+    elsewhere, so alpha = 0 gives the minimum-norm least-squares fit.
     """
     if alpha < 0:
         raise ParameterError(f"ridge alpha must be >= 0, got {alpha}")
@@ -230,27 +229,11 @@ def fit_learned_linear(
     x_mean = x_mat.mean(axis=1)
     y_mean = y_mat.mean(axis=1)
     xc = x_mat - x_mean[:, None]
-    yc = y_mat - y_mean[:, None]
-    gram = yc @ yc.T + alpha * np.eye(op.m)
-    rhs = yc @ xc.T
-    jittered = False
-    try:
-        cho = cho_factor(gram)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * max(np.trace(gram) / op.m, 1.0)
-        jittered = True
-        try:
-            cho = cho_factor(gram + jitter * np.eye(op.m))
-        except np.linalg.LinAlgError as exc:
-            raise RankError(
-                "normal equations are singular; refit with alpha > 0"
-            ) from exc
-    wt = cho_solve(cho, rhs)
-    if jittered and alpha == 0.0:
-        residual = np.linalg.norm(gram @ wt - rhs)
-        if residual > 1e-6 * (np.linalg.norm(rhs) + 1e-12):
-            raise RankError("normal equations are singular; refit with alpha > 0")
-    weights = wt.T
+    p, sigma, qt = np.linalg.svd(y_mat - y_mean[:, None], full_matrices=False)
+    gain = np.zeros_like(sigma)
+    kept = sigma > DEFAULT_RCOND * sigma[0]
+    gain[kept] = sigma[kept] / (sigma[kept] ** 2 + alpha)
+    weights = ((xc @ qt.T) * gain) @ p.T
     bias = x_mean - weights @ y_mean
     return LearnedLinearReconstructor(weights, bias, op)
 

@@ -41,7 +41,7 @@ def write_nit1(path, array) -> None:
 
 
 def read_nit1(path) -> np.ndarray:
-    """Read a NIT1 tensor file into a float64 array."""
+    """Read a NIT1 tensor file into a float64 array; NaN or inf is rejected."""
     raw = Path(path).read_bytes()
     if len(raw) < 8 or raw[:4] != MAGIC:
         raise ParameterError(f"{path}: not a NIT1 file")
@@ -61,6 +61,8 @@ def read_nit1(path) -> np.ndarray:
             f"{path}: payload size mismatch (expected {expected} bytes, got {len(raw)})"
         )
     data = np.frombuffer(raw[dims_end:], dtype="<f4").astype(np.float64)
+    if not np.all(np.isfinite(data)):
+        raise ParameterError(f"{path}: non-finite values")
     return data.reshape(shape)
 
 

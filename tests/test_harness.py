@@ -288,6 +288,28 @@ class TestReconstructAndCorrect:
         second = numeric_rows(eval_out / "metrics.csv", "projected")
         assert first == second
 
+    @pytest.mark.parametrize("field", ["truth", "measurement"])
+    def test_evaluate_rejects_non_finite_file(self, simulated, tmp_path, field):
+        recon_out = tmp_path / "recons"
+        run_reconstruct(ExperimentConfig.from_dict({
+            "experiment": "reconstruct",
+            "reconstructor": {"kind": "pinv"},
+            "dataset": {"manifest": str(simulated)},
+            "output_dir": str(recon_out),
+        }))
+        entry = json.loads(simulated.read_text())["images"][1]
+        path = simulated.parent / entry[field]
+        values = read_nit1(path)
+        values.flat[3] = np.nan
+        write_nit1(path, values)
+        with pytest.raises(ParameterError, match="non-finite"):
+            run_evaluate(ExperimentConfig.from_dict({
+                "experiment": "evaluate",
+                "reconstructor": {"kind": "pinv", "pattern": "recon_{image_id}.nit1"},
+                "dataset": {"manifest": str(simulated), "reconstruction_dir": str(recon_out)},
+                "output_dir": str(tmp_path / "eval"),
+            }))
+
     def test_evaluate_requires_directory(self, simulated, tmp_path):
         with pytest.raises(ParameterError):
             run_evaluate(ExperimentConfig.from_dict({
@@ -471,14 +493,45 @@ def test_smooth_images_deterministic_and_bounded():
         assert a.min() >= 0.0 and a.max() <= 1.0
 
 
+TRACED_RUN = """
+import numpy as np
+import spans
+
+tracer = spans.Tracer()
+spans.install(tracer)
+tracer.job_id = 0
+from projcorr import (
+    CorrectionConfig, Geometry, exact_correction, fit_learned_linear, make_dataset,
+    make_engine, make_gaussian_blur, regularized_correction, train_epochs,
+)
+
+op = make_gaussian_blur(Geometry(8, 8, 1), (1.0, 0.7), truncation=2.0)
+engine = make_engine(op)
+rng = np.random.default_rng(0)
+data = make_dataset(op, [rng.random(op.n) for _ in range(4)])
+x, y = data.pairs[0]
+fhat = op.adjoint(y)
+exact_correction(engine, y, fhat)
+regularized_correction(engine, y, fhat, CorrectionConfig(mode="regularized", lam=0.1))
+fit_learned_linear(op, data, alpha=1e-3)
+train_epochs(op, data, epochs=1)
+metrics = {k: v for k, (v, _) in spans.layer_metrics(tracer, 1).items()}
+assert metrics["pinv.pinv_apply.calls"] >= 1, metrics
+assert metrics["pinv.nullspace_projector_apply.calls"] >= 1, metrics
+assert metrics["kernel.cholesky_calls"] == 0, metrics
+"""
+
+
 def test_benchmark_tracer_installs():
     # perfbench/spans.py rebinds package names by attribute; a name it expects
     # but the package no longer binds fails here instead of in a traced run.
-    # A fresh interpreter keeps the wrapping out of the other tests.
+    # The traced calls check that methods inherited from the engine base class
+    # are still counted.  A fresh interpreter keeps the wrapping out of the
+    # other tests.
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
     result = subprocess.run(
-        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+        [sys.executable, "-c", TRACED_RUN],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

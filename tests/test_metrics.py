@@ -16,6 +16,7 @@ from projcorr import (
     UnsupportedConfigError,
     make_engine,
     make_gaussian_blur,
+    make_inpainting_mask,
     make_random_projection,
     monte_carlo_noise_error,
     mse,
@@ -183,6 +184,12 @@ class TestNullspaceConsistency:
             np.linalg.norm(a @ out - y) ** 2, rel=1e-12
         )
 
+    def test_range_residual_rejects_short_measurement(self, rng):
+        # a length-1 y would otherwise broadcast against A out
+        op = DenseOperator(rng.standard_normal((2, 3)))
+        with pytest.raises(ShapeError):
+            range_residual(op, [0.5], np.ones(3))
+
 
 class TestNoiseBiasTrace:
     def test_identity_operator(self):
@@ -195,16 +202,26 @@ class TestNoiseBiasTrace:
         engine = make_engine(MaskOperator(2, [0]))
         assert noise_bias_trace(engine, NoiseModel.isotropic(0.3)) == pytest.approx(0.09)
 
-    def test_explicit_formula_dense(self, rng):
-        a = rng.standard_normal((4, 6))
-        engine = make_engine(DenseOperator(a))
-        pinv = np.linalg.pinv(a)
-        for noise in [
+    @pytest.mark.parametrize("kind", ["svd", "mask", "blur", "blur_3ch"])
+    def test_explicit_formula_dense(self, rng, kind):
+        if kind == "svd":
+            op = DenseOperator(rng.standard_normal((4, 6)))
+        elif kind == "mask":
+            op = make_inpainting_mask(Geometry(4, 4, 1), 0.5, seed=3)
+        else:
+            g = Geometry(6, 6, 3 if kind == "blur_3ch" else 1)
+            op = make_gaussian_blur(g, (0.8, 0.5), truncation=2.0)
+        engine = make_engine(op)
+        pinv = np.linalg.pinv(op.to_dense())
+        m = op.m
+        noises = [
             NoiseModel.isotropic(0.17),
-            NoiseModel.diagonal(rng.uniform(0.01, 0.2, 4)),
-            NoiseModel.dense(_random_spd(rng, 4)),
-        ]:
-            cov = _noise_covariance(noise, 4)
+            NoiseModel.diagonal(rng.uniform(0.01, 0.2, m)),
+        ]
+        if not kind.startswith("blur"):  # the spectral engine rejects dense noise
+            noises.append(NoiseModel.dense(_random_spd(rng, m)))
+        for noise in noises:
+            cov = _noise_covariance(noise, m)
             expected = float(np.trace(pinv @ cov @ pinv.T))
             assert noise_bias_trace(engine, noise) == pytest.approx(expected, rel=1e-10)
 

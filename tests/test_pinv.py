@@ -34,13 +34,17 @@ def engine_zoo(rng):
     """One engine of every method, each bound to its natural operator."""
     g = Geometry(8, 8, 1)
     dense = DenseOperator(rng.standard_normal((5, 9)))
+    rank_deficient = DenseOperator(rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9)))
     mask = make_inpainting_mask(g, 0.5, seed=13)
     blur = make_gaussian_blur(g, (1.2, 0.7), truncation=2.0)
+    color_blur = make_gaussian_blur(Geometry(8, 8, 3), (1.2, 0.7), truncation=2.0)
     spi = make_random_projection(32, 8, seed=2)
     return [
         make_engine(dense),
+        make_engine(rank_deficient),
         make_engine(mask),
         make_engine(blur),
+        make_engine(color_blur),
         make_engine(spi, method="cg_minimum_norm"),
     ]
 
@@ -181,7 +185,7 @@ class TestTruncationAndErrors:
         g = Geometry(16, 16, 1)
         op = make_gaussian_blur(g, (2.0, 2.0), truncation=2.0)
         engine = make_engine(op)
-        assert np.all(engine.inverse_multiplier[~engine.retained] == 0)
+        assert np.all(engine.inverse[~engine.retained] == 0)
         mags = np.abs(op.transfer)
         assert np.all(mags[engine.retained] > engine.rcond * mags.max())
 

@@ -149,6 +149,24 @@ class TestFitLearnedLinear:
             )
             assert dataset_mse(perturbed, dataset) >= base - 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_fewer_pairs_than_measurements(self, rng, alpha):
+        # N = 4 pairs, m = 9 measurements: the m x m Gram matrix is singular
+        op = DenseOperator(rng.standard_normal((9, 6)))
+        dataset = make_dataset(op, [rng.standard_normal(6) for _ in range(4)],
+                               noise_sigma=0.1, seed=11)
+        recon = fit_learned_linear(op, dataset, alpha=alpha)
+        x_mat, y_mat = dataset.signal_matrix(), dataset.measurement_matrix()
+        xc = x_mat - x_mat.mean(axis=1, keepdims=True)
+        yc = y_mat - y_mat.mean(axis=1, keepdims=True)
+        if alpha == 0.0:
+            want = xc @ np.linalg.pinv(yc)
+        else:
+            want = np.linalg.solve(yc @ yc.T + alpha * np.eye(op.m), yc @ xc.T).T
+        assert np.linalg.norm(recon.weights - want) <= 1e-10 * np.linalg.norm(want)
+        want_bias = x_mat.mean(axis=1) - want @ y_mat.mean(axis=1)
+        assert np.linalg.norm(recon.bias - want_bias) <= 1e-10 * np.linalg.norm(want_bias)
+
     def test_negative_alpha_rejected(self, rng):
         op = DenseOperator(rng.standard_normal((2, 3)))
         with pytest.raises(ParameterError):

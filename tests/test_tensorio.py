@@ -51,6 +51,13 @@ class TestNit1:
         with pytest.raises(ParameterError):
             read_nit1(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.nit1"
+        write_nit1(path, [0.5, bad, 1.0])
+        with pytest.raises(ParameterError, match="non-finite"):
+            read_nit1(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "bad.nit1"
         path.write_bytes(b"NIT1" + bytes([1, 1, 0, 0]) + (4).to_bytes(4, "little") + bytes(8))
