@@ -66,7 +66,6 @@ from .reconstructors import (
     PinvReconstructor,
     Reconstructor,
     TikhonovReconstructor,
-    TrainableLinearReconstructor,
     TrainingHistory,
     fit_learned_linear,
     gradient_lipschitz,

@@ -14,8 +14,11 @@ two corrections are provided:
   every other engine and covariance is solved by matrix-free conjugate
   gradient.
 
-``lambda_grid_search`` picks the regularization weight maximizing mean
-reconstruction quality over a paired dataset.
+Both accept one ``(y, fhat)`` pair of vectors or a block of pairs, an
+``(m, N)`` measurement block with an ``(n, N)`` reconstruction block, and
+correct every column at once.  ``lambda_grid_search`` picks the
+regularization weight maximizing mean reconstruction quality over a paired
+dataset.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import cho_factor  # noqa: F401 -- perfbench/spans.py wraps it by name
 
-from .errors import ParameterError, UnsupportedConfigError
-from .metrics import psnr, ssim
+from .errors import ParameterError, ShapeError
+from .metrics import mean_quality, ssim_applies
 from .noise import NoiseModel
 from .operators import as_vector
 from .pinv import DEFAULT_CG_TOL, PinvEngine, conjugate_gradient
@@ -58,10 +61,17 @@ class CorrectionConfig:
             raise ParameterError(f"regularization weight must be >= 0, got {self.lam}")
 
 
-def exact_correction(engine: PinvEngine, y, fhat) -> np.ndarray:
-    """Closest point to ``fhat`` with A x = y: A+ y + (I - A+ A) fhat."""
+def _check_pair(engine: PinvEngine, y, fhat) -> Tuple[np.ndarray, np.ndarray]:
     y = as_vector(y, engine.op.m, "measurement")
     fhat = as_vector(fhat, engine.op.n, "signal")
+    if y.shape[1:] != fhat.shape[1:]:
+        raise ShapeError("reconstruction columns", y.shape[1:], fhat.shape[1:])
+    return y, fhat
+
+
+def exact_correction(engine: PinvEngine, y, fhat) -> np.ndarray:
+    """Closest point to ``fhat`` with A x = y: A+ y + (I - A+ A) fhat."""
+    y, fhat = _check_pair(engine, y, fhat)
     return engine.pinv_apply(y) + engine.nullspace_projector_apply(fhat)
 
 
@@ -86,16 +96,11 @@ def regularized_correction(
     """
     if config.lam < 0:
         raise ParameterError(f"regularization weight must be >= 0, got {config.lam}")
-    y = as_vector(y, engine.op.m, "measurement")
-    fhat = as_vector(fhat, engine.op.n, "signal")
+    y, fhat = _check_pair(engine, y, fhat)
     noise = config.noise
     noise.check_dim(engine.op.m)
     if config.lam == 0.0:
         return fhat.copy()
-    if noise.form == "dense" and not engine.op.materializable():
-        raise UnsupportedConfigError(
-            "dense noise covariance requires a materializable operator"
-        )
     if noise.form in ("none", "isotropic"):
         weight = config.lam if noise.form == "none" else config.lam / noise.sigma ** 2
         out = engine.regularized_solve(y, fhat, weight)
@@ -135,7 +140,8 @@ def lambda_grid_search(
     """Pick the regularization weight with the best mean quality.
 
     ``dataset`` is a sequence of ``(x_true, y)`` pairs; lambda 0 means the
-    reconstruction is kept unchanged.  Ties go to the smallest weight.
+    reconstruction is kept unchanged.  Ties go to the smallest weight.  Each
+    weight corrects the whole dataset as one column block.
     """
     pairs = list(dataset)
     grid = sorted(float(g) for g in grid)
@@ -150,25 +156,24 @@ def lambda_grid_search(
     noise = noise if noise is not None else NoiseModel.none()
 
     geometry = engine.op.geometry
-    with_ssim = geometry is not None and min(geometry.height, geometry.width) >= 11
-    if objective == "ssim" and not with_ssim:
+    if objective == "ssim" and not ssim_applies(geometry):
         raise ParameterError("ssim objective needs image geometry of at least 11x11")
 
-    recons = [np.asarray(reconstructor(y), dtype=np.float64).ravel() for _, y in pairs]
+    truth = np.stack([np.ravel(x) for x, _ in pairs], axis=1)
+    measured = np.stack([y for _, y in pairs], axis=1)
+    recons = np.stack(
+        [np.asarray(reconstructor(y), dtype=np.float64).ravel() for _, y in pairs], axis=1
+    )
     table = []
     best_lambda = grid[0]
     best_score = -np.inf
     for lam in grid:
         config = CorrectionConfig(mode="regularized", lam=lam, noise=noise)
-        psnrs, ssims = [], []
-        for (x, y), fhat in zip(pairs, recons):
-            corrected = regularized_correction(engine, y, fhat, config)
-            psnrs.append(psnr(corrected, x))
-            if with_ssim:
-                ssims.append(ssim(corrected, x, geometry=geometry))
-        row = {"lambda": lam, "mean_psnr": float(np.mean(psnrs))}
-        if with_ssim:
-            row["mean_ssim"] = float(np.mean(ssims))
+        corrected = regularized_correction(engine, measured, recons, config)
+        mean_psnr, mean_ssim = mean_quality(corrected, truth, geometry)
+        row = {"lambda": lam, "mean_psnr": mean_psnr}
+        if mean_ssim is not None:
+            row["mean_ssim"] = mean_ssim
         table.append(row)
         score = row["mean_psnr"] if objective == "psnr" else row["mean_ssim"]
         if score > best_score:

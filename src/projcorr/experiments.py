@@ -31,14 +31,7 @@ from .correction import (
     lambda_grid_search,
 )
 from .errors import ParameterError
-from .metrics import (
-    evaluate_reconstruction,
-    format_metric,
-    mse,
-    nullspace_consistency,
-    psnr,
-    ssim,
-)
+from .metrics import evaluate_reconstruction, format_metric, mean_quality, mse
 from .noise import NoiseModel
 from .operators import Geometry, SensingOperator
 from .pinv import PinvEngine
@@ -51,9 +44,10 @@ from .reconstructors import (
     TikhonovReconstructor,
     fit_learned_linear,
     make_dataset,
+    measure_pairs,
     train_epochs,
 )
-from .rng import derive_seed, generator, stream
+from .rng import derive_seed, stream
 from .tensorio import read_nit1, read_pgm, write_nit1
 
 METRICS_COLUMNS = (
@@ -165,14 +159,12 @@ def run_simulate(config: ExperimentConfig) -> dict:
     (out / "meas").mkdir(parents=True, exist_ok=True)
     sigma = config.noise.sigma_or(0.0)
     images = _truth_images(config, op)
+    noise_seeds = [derive_seed(config.base_seed, i) for i in range(len(images))]
+    pairs = measure_pairs(op, images, sigma, noise_seeds)
 
     entries = []
-    for i, x in enumerate(images):
+    for i, ((x, y), noise_seed) in enumerate(zip(pairs, noise_seeds)):
         iid = image_id(i)
-        y = op.apply(x)
-        noise_seed = derive_seed(config.base_seed, i)
-        if sigma > 0:
-            y = y + sigma * generator(noise_seed).standard_normal(op.m)
         truth_rel = f"truth/{iid}.nit1"
         meas_rel = f"meas/{iid}.nit1"
         if op.geometry is not None:
@@ -212,6 +204,11 @@ def _load_manifest(config: ExperimentConfig) -> tuple:
     op_spec = OperatorSpec.from_dict(manifest["operator"])
     op = build_operator(op_spec)
     return manifest, manifest_path.parent, op, op_spec
+
+
+def _read_columns(base_dir: Path, entries: List[dict], key: str) -> np.ndarray:
+    """The manifest files named by ``key``, one flattened image per column."""
+    return np.stack([read_nit1(base_dir / e[key]).ravel() for e in entries], axis=1)
 
 
 def _build_reconstructor(
@@ -255,14 +252,12 @@ def run_reconstruct(config: ExperimentConfig) -> dict:
     recon = _build_reconstructor(config, op, engine, sigma)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for entry in manifest["images"]:
-        y = read_nit1(base_dir / entry["measurement"]).ravel()
-        fhat = recon(y, image_id=entry["id"])
-        rel = f"recon_{entry['id']}.nit1"
-        write_nit1(out / rel, fhat)
-        written.append(rel)
-    return {"count": len(written), "output_dir": str(out)}
+    entries = manifest["images"]
+    ids = [entry["id"] for entry in entries]
+    fhat = recon(_read_columns(base_dir, entries, "measurement"), image_id=ids)
+    for iid, column in zip(ids, fhat.T):
+        write_nit1(out / f"recon_{iid}.nit1", column)
+    return {"count": len(ids), "output_dir": str(out)}
 
 
 def _metrics_row(experiment: str, dataset: str, record) -> List[str]:
@@ -308,21 +303,19 @@ def run_correct(config: ExperimentConfig) -> dict:
     out = Path(config.output_dir)
     (out / "corrected").mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    records = []
-    for entry in manifest["images"]:
-        iid = entry["id"]
-        x = read_nit1(base_dir / entry["truth"]).ravel()
-        y = read_nit1(base_dir / entry["measurement"]).ravel()
-        fhat = recon(y, image_id=iid)
-        corrected = correct(engine, y, fhat, correction)
-        write_nit1(out / "corrected" / f"corrected_{iid}.nit1", corrected)
-        lam = correction.lam if correction.mode == "regularized" else None
-        net = evaluate_reconstruction(engine, x, y, fhat, iid, "network", None)
-        proj = evaluate_reconstruction(engine, x, y, corrected, iid, "projected", lam)
-        records.extend([net, proj])
-        rows.append(_metrics_row("correct", manifest["dataset_name"], net))
-        rows.append(_metrics_row("correct", manifest["dataset_name"], proj))
+    entries = manifest["images"]
+    ids = [entry["id"] for entry in entries]
+    x = _read_columns(base_dir, entries, "truth")
+    y = _read_columns(base_dir, entries, "measurement")
+    fhat = recon(y, image_id=ids)
+    corrected = correct(engine, y, fhat, correction)
+    for iid, column in zip(ids, corrected.T):
+        write_nit1(out / "corrected" / f"corrected_{iid}.nit1", column)
+    lam = correction.lam if correction.mode == "regularized" else None
+    net = evaluate_reconstruction(engine, x, y, fhat, ids, "network", None)
+    proj = evaluate_reconstruction(engine, x, y, corrected, ids, "projected", lam)
+    records = [record for pair in zip(net, proj) for record in pair]
+    rows = [_metrics_row("correct", manifest["dataset_name"], r) for r in records]
 
     csv_path = out / "metrics.csv"
     _write_csv(csv_path, METRICS_COLUMNS, _sorted_metric_rows(rows))
@@ -342,20 +335,17 @@ def run_evaluate(config: ExperimentConfig) -> dict:
     source = ExternalReconstructor(
         config.dataset.reconstruction_dir, pattern=config.reconstructor.pattern, n=op.n
     )
-    method = config.reconstructor.kind
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    records = []
-    for entry in manifest["images"]:
-        iid = entry["id"]
-        x = read_nit1(base_dir / entry["truth"]).ravel()
-        y = read_nit1(base_dir / entry["measurement"]).ravel()
-        output = source(y, image_id=iid)
-        rec = evaluate_reconstruction(engine, x, y, output, iid, method, None)
-        records.append(rec)
-        rows.append(_metrics_row("evaluate", manifest["dataset_name"], rec))
+    entries = manifest["images"]
+    ids = [entry["id"] for entry in entries]
+    y = _read_columns(base_dir, entries, "measurement")
+    records = evaluate_reconstruction(
+        engine, _read_columns(base_dir, entries, "truth"), y, source(y, image_id=ids),
+        ids, config.reconstructor.kind, None,
+    )
+    rows = [_metrics_row("evaluate", manifest["dataset_name"], r) for r in records]
 
     csv_path = out / "metrics.csv"
     _write_csv(csv_path, METRICS_COLUMNS, _sorted_metric_rows(rows))
@@ -374,35 +364,20 @@ def _split_datasets(
         raise ParameterError("synthetic experiments need operator geometry")
     ds = config.dataset
     offset = block * STREAM_STRIDE
-    train_images = [
-        make_smooth_images(geometry, 1, derive_seed(ds.seed, offset + i), blobs=ds.blobs)[0]
-        for i in range(ds.count)
-    ]
-    test_images = [
-        make_smooth_images(
-            geometry, 1, derive_seed(ds.seed, offset + ds.count + j), blobs=ds.blobs
-        )[0]
-        for j in range(ds.test_count)
-    ]
-    train_set = Dataset(
-        pairs=[], provenance={"sigma": sigma, "seed": ds.seed, "block": block}
-    )
-    for i, x in enumerate(train_images):
-        y = op.apply(x)
-        if sigma > 0:
-            y = y + sigma * generator(derive_seed(config.base_seed, offset + i)).standard_normal(op.m)
-        train_set.pairs.append((x, y))
-    test_set = Dataset(
-        pairs=[], provenance={"sigma": sigma, "seed": ds.seed, "block": block, "split": "test"}
-    )
-    for j, x in enumerate(test_images):
-        y = op.apply(x)
-        if sigma > 0:
-            y = y + sigma * generator(
-                derive_seed(config.base_seed, offset + ds.count + j)
-            ).standard_normal(op.m)
-        test_set.pairs.append((x, y))
-    return train_set, test_set
+
+    def split(first: int, count: int, **provenance) -> Dataset:
+        streams = range(offset + first, offset + first + count)
+        images = [
+            make_smooth_images(geometry, 1, derive_seed(ds.seed, k), blobs=ds.blobs)[0]
+            for k in streams
+        ]
+        noise_seeds = [derive_seed(config.base_seed, k) for k in streams]
+        return Dataset(
+            pairs=measure_pairs(op, images, sigma, noise_seeds),
+            provenance={"sigma": sigma, "seed": ds.seed, "block": block, **provenance},
+        )
+
+    return split(0, ds.count), split(ds.count, ds.test_count, split="test")
 
 
 def run_train_dynamics(config: ExperimentConfig) -> dict:
@@ -421,43 +396,25 @@ def run_train_dynamics(config: ExperimentConfig) -> dict:
     )
 
     def split_state(dataset: Dataset) -> dict:
-        pinv_y = np.stack([engine.pinv_apply(y) for _, y in dataset], axis=1)
-        return {
-            "x": dataset.signal_matrix(),
-            "y": dataset.measurement_matrix(),
-            "pinv_y": pinv_y,
-            "a_pinv_y": np.stack(
-                [op.apply(pinv_y[:, i]) for i in range(pinv_y.shape[1])], axis=1
-            ),
-        }
+        y = dataset.measurement_matrix()
+        pinv_y = engine.pinv_apply(y)
+        return {"x": dataset.signal_matrix(), "y": y, "pinv_y": pinv_y,
+                "a_pinv_y": op.apply(pinv_y)}
 
     splits = {"train": split_state(train_set), "test": split_state(test_set)}
     rows = []
     epoch_rows = []
     for epoch, model in enumerate(history.snapshots):
-        stats = {}
+        stats = {"epoch": epoch}
         for name, state in splits.items():
-            fhat = model.weights @ state["y"] + model.bias[:, None]
-            count = fhat.shape[1]
-            net_mse = proj_mse = consistency = 0.0
-            for i in range(count):
-                f_i = fhat[:, i]
-                x_i = state["x"][:, i]
-                projected = state["pinv_y"][:, i] + engine.nullspace_projector_apply(f_i)
-                net_mse += mse(f_i, x_i)
-                proj_mse += mse(projected, x_i)
-                r = op.apply(f_i) - state["a_pinv_y"][:, i]
-                consistency += float(r @ r)
-            stats[name] = (net_mse / count, proj_mse / count, consistency / count)
-        row = {
-            "epoch": epoch,
-            "train_mse_net": stats["train"][0],
-            "train_mse_projected": stats["train"][1],
-            "test_mse_net": stats["test"][0],
-            "test_mse_projected": stats["test"][1],
-            "nullspace_consistency_train": stats["train"][2],
-            "nullspace_consistency_test": stats["test"][2],
-        }
+            # mse of two blocks is the mean of the per-image MSEs
+            fhat = model(state["y"])
+            projected = state["pinv_y"] + engine.nullspace_projector_apply(fhat)
+            r = op.apply(fhat) - state["a_pinv_y"]
+            stats[f"{name}_mse_net"] = mse(fhat, state["x"])
+            stats[f"{name}_mse_projected"] = mse(projected, state["x"])
+            stats[f"nullspace_consistency_{name}"] = float(np.sum(r * r)) / r.shape[1]
+        row = {key: stats[key] for key in TRAIN_DYNAMICS_COLUMNS}
         epoch_rows.append(row)
         rows.append(
             [str(epoch)] + [format_metric(row[k]) for k in TRAIN_DYNAMICS_COLUMNS[1:]]
@@ -478,8 +435,6 @@ def run_sweep_lambda(config: ExperimentConfig) -> dict:
     if not sigmas:
         raise ParameterError("sweep needs a non-empty noise.sigmas list")
     grid = config.correction.lambda_grid or list(DEFAULT_LAMBDA_GRID)
-    geometry = op.geometry
-    with_ssim = geometry is not None and min(geometry.height, geometry.width) >= 11
 
     rows = []
     summaries = []
@@ -495,17 +450,14 @@ def run_sweep_lambda(config: ExperimentConfig) -> dict:
             noise=noise,
             objective=config.correction.objective,
         )
-        net_psnr, net_ssim = [], []
-        for x, y in test_set:
-            fhat = recon(y)
-            net_psnr.append(psnr(fhat, x))
-            if with_ssim:
-                net_ssim.append(ssim(fhat, x, geometry=geometry))
+        net_psnr, net_ssim = mean_quality(
+            recon(test_set.measurement_matrix()), test_set.signal_matrix(), op.geometry
+        )
         best_row = next(r for r in search.table if r["lambda"] == search.best_lambda)
         summary = {
             "sigma": sigma,
             "best_lambda": search.best_lambda,
-            "network_psnr": float(np.mean(net_psnr)),
+            "network_psnr": net_psnr,
             "projected_psnr": best_row["mean_psnr"],
             "table": search.table,
         }
@@ -513,7 +465,7 @@ def run_sweep_lambda(config: ExperimentConfig) -> dict:
         rows.append([
             format_metric(sigma), config.dataset.name, "", "network",
             format_metric(summary["network_psnr"]),
-            format_metric(float(np.mean(net_ssim)) if with_ssim else None),
+            format_metric(net_ssim),
         ])
         rows.append([
             format_metric(sigma), config.dataset.name,
@@ -535,8 +487,8 @@ def run_bench(config: ExperimentConfig) -> dict:
     engine = build_engine(op, config.operator, config.correction)
     sigma = config.noise.sigma_or(0.0)
     train_set, test_set = _split_datasets(config, op, sigma)
-    geometry = op.geometry
-    with_ssim = geometry is not None and min(geometry.height, geometry.width) >= 11
+    x = test_set.signal_matrix()
+    y = test_set.measurement_matrix()
 
     rows = []
     summaries = []
@@ -558,21 +510,17 @@ def run_bench(config: ExperimentConfig) -> dict:
         else:
             raise ParameterError(f"unknown bench reconstructor kind {kind!r}")
 
-        net_psnr, proj_psnr, net_ssim, proj_ssim = [], [], [], []
-        for x, y in test_set:
-            fhat = recon(y)
-            projected = exact_correction(engine, y, fhat)
-            net_psnr.append(psnr(fhat, x))
-            proj_psnr.append(psnr(projected, x))
-            if with_ssim:
-                net_ssim.append(ssim(fhat, x, geometry=geometry))
-                proj_ssim.append(ssim(projected, x, geometry=geometry))
+        fhat = recon(y)
+        psnr_net, ssim_net = mean_quality(fhat, x, op.geometry)
+        psnr_projected, ssim_projected = mean_quality(
+            exact_correction(engine, y, fhat), x, op.geometry
+        )
         summary = {
             "reconstructor": kind,
-            "psnr_net": float(np.mean(net_psnr)),
-            "psnr_projected": float(np.mean(proj_psnr)),
-            "ssim_net": float(np.mean(net_ssim)) if with_ssim else None,
-            "ssim_projected": float(np.mean(proj_ssim)) if with_ssim else None,
+            "psnr_net": psnr_net,
+            "psnr_projected": psnr_projected,
+            "ssim_net": ssim_net,
+            "ssim_projected": ssim_projected,
         }
         summaries.append(summary)
         rows.append([

@@ -9,13 +9,16 @@ Besides MSE/PSNR/SSIM this module provides:
   consistency-preserving reconstructor inherits from noise covariance S.
   On an engine's spectrum it is sum_i (U^H S U)_ii / |s_i|^2 over the
   retained directions; ``monte_carlo_noise_error`` cross-checks it.
+
+The consistency diagnostics and ``evaluate_reconstruction`` also take
+column blocks (one image per column) and then give one value per column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.signal import correlate2d
@@ -50,6 +53,11 @@ def psnr(a, b, peak: float = 1.0) -> float:
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / err)
+
+
+def ssim_applies(geometry: Optional[Geometry]) -> bool:
+    """Whether images of this geometry hold at least one full SSIM window."""
+    return geometry is not None and min(geometry.height, geometry.width) >= SSIM_WINDOW
 
 
 def _ssim_window() -> np.ndarray:
@@ -112,18 +120,33 @@ def ssim(
     return float(np.mean(values))
 
 
-def nullspace_consistency(engine: PinvEngine, y, out) -> float:
+def _squared_norm(r: np.ndarray):
+    """||r||^2 of a vector, or of every column of a block."""
+    return float(r @ r) if r.ndim == 1 else np.sum(r * r, axis=0)
+
+
+def mean_quality(out, truth, geometry: Optional[Geometry]) -> Tuple[float, Optional[float]]:
+    """Mean PSNR and mean SSIM over the columns of two ``(n, N)`` blocks.
+
+    The SSIM mean is None when ``ssim_applies(geometry)`` is false.
+    """
+    pairs = list(zip(np.asarray(out).T, np.asarray(truth).T))
+    mean_psnr = float(np.mean([psnr(o, t) for o, t in pairs]))
+    if not ssim_applies(geometry):
+        return mean_psnr, None
+    return mean_psnr, float(np.mean([ssim(o, t, geometry=geometry) for o, t in pairs]))
+
+
+def nullspace_consistency(engine: PinvEngine, y, out):
     """||A (out - A+ y)||^2: zero iff ``out`` keeps the measured component."""
     y = engine.op._check_measurement(y)
     out = engine.op._check_signal(out)
-    r = engine.op.apply(out - engine.pinv_apply(y))
-    return float(r @ r)
+    return _squared_norm(engine.op.apply(out - engine.pinv_apply(y)))
 
 
-def range_residual(op: SensingOperator, y, out) -> float:
+def range_residual(op: SensingOperator, y, out):
     """||A out - y||^2: raw measurement misfit of a reconstruction."""
-    r = op.apply(out) - op._check_measurement(y)
-    return float(r @ r)
+    return _squared_norm(op.apply(out) - op._check_measurement(y))
 
 
 def noise_bias_trace(engine: PinvEngine, noise: NoiseModel) -> float:
@@ -170,15 +193,8 @@ def monte_carlo_noise_error(
         + engine.nullspace_projector_apply(x)
         - x
     )
-    if op.materializable():
-        pinv = engine.pinv_matrix()
-        errors = pinv @ draws + base[:, None]
-        return float(np.mean(np.sum(errors * errors, axis=0)))
-    total = 0.0
-    for t in range(trials):
-        e = engine.pinv_apply(draws[:, t]) + base
-        total += float(e @ e)
-    return total / trials
+    errors = engine.pinv_apply(draws) + base[:, None]
+    return float(np.mean(np.sum(errors * errors, axis=0)))
 
 
 @dataclass
@@ -200,23 +216,36 @@ def evaluate_reconstruction(
     x_true,
     y,
     output,
-    image_id: str,
+    image_id,
     method: str,
     lam: Optional[float] = None,
-) -> MetricsRecord:
-    """Compute the full metrics row for one reconstruction."""
-    x_true = np.asarray(x_true, dtype=np.float64).ravel()
-    output = np.asarray(output, dtype=np.float64).ravel()
-    return MetricsRecord(
-        image_id=image_id,
-        method=method,
-        lam=lam,
-        mse=mse(output, x_true),
-        psnr=psnr(output, x_true),
-        ssim=ssim(output, x_true, geometry=engine.op.geometry),
-        nullspace_consistency=nullspace_consistency(engine, y, output),
-        range_residual=range_residual(engine.op, y, output),
-    )
+):
+    """Compute the full metrics row for one reconstruction.
+
+    For an ``(n, N)`` block of reconstructions, with ``x_true`` and ``y``
+    blocks and one id per column in ``image_id``, returns a list of rows.
+    """
+    op = engine.op
+    x_true = op._check_signal(x_true)
+    output = op._check_signal(output)
+    consistency = nullspace_consistency(engine, y, output)
+    residual = range_residual(op, y, output)
+
+    def record(iid, out, x, null, misfit) -> MetricsRecord:
+        return MetricsRecord(
+            image_id=iid,
+            method=method,
+            lam=lam,
+            mse=mse(out, x),
+            psnr=psnr(out, x),
+            ssim=ssim(out, x, geometry=op.geometry),
+            nullspace_consistency=float(null),
+            range_residual=float(misfit),
+        )
+
+    if output.ndim == 1:
+        return record(image_id, output, x_true, consistency, residual)
+    return list(map(record, image_id, output.T, x_true.T, consistency, residual))
 
 
 def format_metric(value) -> str:

@@ -1,7 +1,9 @@
 """Linear forward operators for measurement models.
 
 Four operator kinds are provided, all exposing ``apply`` (A x) and
-``adjoint`` (A^T u) on flat float64 vectors:
+``adjoint`` (A^T u).  Both take a flat float64 vector or a column block, an
+``(n, N)`` array (``(m, N)`` for ``adjoint``) holding one signal per column,
+and return the same shape they were given:
 
 * ``dense``             -- explicit matrix, mainly for testing and oracles
 * ``mask``              -- pixel selection (inpainting)
@@ -49,12 +51,20 @@ class Geometry:
         return np.asarray(x).reshape(self.height, self.width, self.channels)
 
 
-def as_vector(values, length: Optional[int] = None, what: str = "signal") -> np.ndarray:
-    """Validate and convert to a finite 1-D float64 vector."""
-    x = np.asarray(values, dtype=np.float64).ravel()
-    if length is not None and x.size != length:
-        raise ShapeError(f"{what} length", length, x.size)
-    if not np.all(np.isfinite(x)):
+def as_vector(
+    values, length: Optional[int] = None, what: str = "signal", finite: bool = True
+) -> np.ndarray:
+    """Validate and convert to float64: a 1-D vector or a ``(length, N)`` block.
+
+    A 2-D input whose first axis is ``length`` is a block of N columns and
+    keeps its shape; any other input is flattened to one vector.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if not (length is not None and x.ndim == 2 and x.shape[0] == length):
+        x = x.ravel()
+        if length is not None and x.size != length:
+            raise ShapeError(f"{what} length", length, x.size)
+    if finite and not np.all(np.isfinite(x)):
         raise ParameterError(f"{what} contains non-finite entries")
     return x
 
@@ -77,42 +87,30 @@ class SensingOperator(abc.ABC):
         self.materialize_limit = int(materialize_limit)
 
     def _check_signal(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.size != self.n:
-            raise ShapeError("signal length", self.n, x.size)
-        return x
+        return as_vector(x, self.n, "signal", finite=False)
 
     def _check_measurement(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64).ravel()
-        if u.size != self.m:
-            raise ShapeError("measurement length", self.m, u.size)
-        return u
+        return as_vector(u, self.m, "measurement", finite=False)
 
     @abc.abstractmethod
     def apply(self, x) -> np.ndarray:
-        """Return A x (length m)."""
+        """Return A x: length m, or (m, N) for an (n, N) block."""
 
     @abc.abstractmethod
     def adjoint(self, u) -> np.ndarray:
-        """Return A^T u (length n)."""
+        """Return A^T u: length n, or (n, N) for an (m, N) block."""
 
     def materializable(self, limit: Optional[int] = None) -> bool:
         limit = self.materialize_limit if limit is None else limit
         return self.m * self.n <= limit
 
     def to_dense(self, limit: Optional[int] = None) -> np.ndarray:
-        """Materialize the m x n matrix (column-by-column fallback)."""
+        """Materialize the m x n matrix as A applied to the identity block."""
         if not self.materializable(limit):
             raise ParameterError(
                 f"operator of size {self.m}x{self.n} exceeds its materialization limit"
             )
-        cols = np.zeros((self.m, self.n))
-        e = np.zeros(self.n)
-        for j in range(self.n):
-            e[j] = 1.0
-            cols[:, j] = self.apply(e)
-            e[j] = 0.0
-        return cols
+        return self.apply(np.eye(self.n))
 
     def __repr__(self):
         return f"<{type(self).__name__} kind={self.kind} m={self.m} n={self.n}>"
@@ -163,14 +161,10 @@ class MaskOperator(SensingOperator):
         return self._check_signal(x)[self.keep]
 
     def adjoint(self, u) -> np.ndarray:
-        z = np.zeros(self.n)
-        z[self.keep] = self._check_measurement(u)
+        u = self._check_measurement(u)
+        z = np.zeros((self.n,) + u.shape[1:])
+        z[self.keep] = u
         return z
-
-    def to_dense(self, limit: Optional[int] = None) -> np.ndarray:
-        a = np.zeros((self.m, self.n))
-        a[np.arange(self.m), self.keep] = 1.0
-        return a
 
 
 class CircularBlurOperator(SensingOperator):
@@ -214,12 +208,11 @@ class CircularBlurOperator(SensingOperator):
         self.transfer.setflags(write=False)
 
     def _filter(self, x: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+        # every channel of every column is one image plane of the stack
         g = self.geometry
-        img = x.reshape(g.height, g.width, g.channels)
-        out = np.empty_like(img)
-        for c in range(g.channels):
-            out[:, :, c] = np.fft.ifft2(np.fft.fft2(img[:, :, c]) * multiplier).real
-        return out.ravel()
+        stack = x.reshape(g.height, g.width, x.size // (g.height * g.width))
+        planes = np.fft.fft2(stack, axes=(0, 1))
+        return np.fft.ifft2(planes * multiplier[:, :, None], axes=(0, 1)).real.reshape(x.shape)
 
     def apply(self, x) -> np.ndarray:
         return self._filter(self._check_signal(x), np.conj(self.transfer))
@@ -285,9 +278,9 @@ class RandomProjectionOperator(SensingOperator):
         u = self._check_measurement(u)
         if self._dense is not None:
             return self._dense.T @ u
-        z = np.zeros(self.n)
+        z = np.zeros((self.n,) + u.shape[1:])
         for r in range(self.m):
-            z += u[r] * self._row(r)
+            z += np.multiply.outer(self._row(r), u[r])
         return z
 
     def to_dense(self, limit: Optional[int] = None) -> np.ndarray:

@@ -27,6 +27,10 @@ Directions with |s| <= rcond * max|s| are null directions (not retained).
 
 The CG engine holds no decomposition: it applies A+ by CG, derives the
 projectors from it and has no closed-form regularized solve.
+
+Every operation takes a flat vector or a column block (one signal or
+measurement per column) and returns the same shape; the filter factors
+scale the rows of a block, ``(phi * z.T).T``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,16 @@ def conjugate_gradient(
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
-    """Solve the SPD system M z = b to relative residual ``tol``."""
+    """Solve the SPD system M z = b to relative residual ``tol``.
+
+    A 2-D ``b`` is solved column by column: CG's step sizes belong to one
+    right-hand side, so ``matvec`` only ever sees vectors.
+    """
+    if b.ndim == 2:
+        z = np.empty_like(b)
+        for j in range(b.shape[1]):
+            z[:, j] = conjugate_gradient(matvec, b[:, j], tol, max_iter)
+        return z
     z = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
@@ -125,14 +138,8 @@ class PinvEngine:
         return self._filter(y, fhat, weight * np.conj(self.s) / denom, weight * power / denom)
 
     def pinv_matrix(self) -> np.ndarray:
-        """Materialized n x m pseudoinverse (column-by-column fallback)."""
-        cols = np.zeros((self.op.n, self.op.m))
-        e = np.zeros(self.op.m)
-        for j in range(self.op.m):
-            e[j] = 1.0
-            cols[:, j] = self.pinv_apply(e)
-            e[j] = 0.0
-        return cols
+        """Materialized n x m pseudoinverse: A+ applied to the identity block."""
+        return self.pinv_apply(np.eye(self.op.m))
 
     def __repr__(self):
         return f"<{type(self).__name__} method={self.method} op={self.op!r}>"
@@ -152,10 +159,10 @@ class SvdEngine(PinvEngine):
         self.vt = vt[:rank]
 
     def _filter(self, y, fhat, phi, psi) -> np.ndarray:
-        coef = 0.0 if y is None else phi * (self.u.T @ y)
+        coef = 0.0 if y is None else (phi * (self.u.T @ y).T).T
         if fhat is None:
             return self.vt.T @ coef
-        return fhat + self.vt.T @ (coef - psi * (self.vt @ fhat))
+        return fhat + self.vt.T @ (coef - (psi * (self.vt @ fhat).T).T)
 
     def _noise_diagonal(self, noise):
         if noise.form == "isotropic":
@@ -163,9 +170,6 @@ class SvdEngine(PinvEngine):
         if noise.form == "diagonal":
             return noise.variances @ (self.u * self.u)
         return np.sum(self.u * (noise.covariance @ self.u), axis=0)
-
-    def pinv_matrix(self) -> np.ndarray:
-        return (self.vt.T * self.inverse) @ self.u.T
 
 
 class MaskEngine(PinvEngine):
@@ -180,11 +184,11 @@ class MaskEngine(PinvEngine):
 
     def _filter(self, y, fhat, phi, psi) -> np.ndarray:
         keep = self.op.keep
-        out = np.zeros(self.op.n) if fhat is None else fhat.copy()
+        out = np.zeros((self.op.n,) + y.shape[1:]) if fhat is None else fhat.copy()
         if y is not None:
-            out[keep] += phi * y
+            out[keep] += (phi * y.T).T
         if fhat is not None:
-            out[keep] -= psi * fhat[keep]
+            out[keep] -= (psi * fhat[keep].T).T
         return out
 
     def _noise_diagonal(self, noise):
@@ -193,9 +197,6 @@ class MaskEngine(PinvEngine):
         if noise.form == "diagonal":
             return noise.variances
         return np.diag(noise.covariance)
-
-    def pinv_matrix(self) -> np.ndarray:
-        return self.op.to_dense().T
 
 
 class SpectralEngine(PinvEngine):
@@ -213,7 +214,10 @@ class SpectralEngine(PinvEngine):
         super().__init__(op, np.conj(op.transfer), rcond)
 
     def _filter(self, y, fhat, phi, psi) -> np.ndarray:
-        out = np.zeros(self.op.n) if fhat is None else fhat - self.op._filter(fhat, psi)
+        if fhat is None:
+            out = np.zeros((self.op.n,) + y.shape[1:])
+        else:
+            out = fhat - self.op._filter(fhat, psi)
         if y is not None:
             out += self.op._filter(y, phi)
         return out
@@ -293,8 +297,6 @@ def make_engine(
     """
     if method == "auto":
         method = _DEFAULT_METHODS.get(op.kind, "svd_dense")
-        if method == "cg_minimum_norm" and op.m > op.n:
-            method = "svd_dense"
     if method == "svd_dense":
         return SvdEngine(op, rcond=rcond)
     if method == "mask_analytic":

@@ -1,12 +1,15 @@
 """Baseline, learned, and file-backed reconstructors.
 
-A reconstructor maps measurements to signal estimates.  Analytic baselines
+A reconstructor maps measurements to signal estimates: one measurement
+vector to one estimate, or an ``(m, N)`` block of measurements to an
+``(n, N)`` block of estimates.  Analytic baselines
 (adjoint, pseudoinverse, Tikhonov-regularized inverse) need no data; the
 affine reconstructors stand in for trained networks at desk scale and come in
 two flavours: closed-form ridge fit and full-batch gradient descent with
 per-epoch snapshots.  ``ExternalReconstructor`` replays outputs stored in
 tensor files so reconstructions produced by real networks elsewhere can be
-plugged into the correction and evaluation pipeline.
+plugged into the correction and evaluation pipeline; it reads one file per
+image id, and a block needs one id per column.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .operators import SensingOperator, operator_norm
+from .operators import SensingOperator, as_vector, operator_norm
 from .pinv import DEFAULT_RCOND, PinvEngine
-from .rng import generator
+from .rng import derive_seed, generator
 
 
 @dataclass
@@ -52,6 +55,22 @@ class Dataset:
         return np.stack([y for _, y in self.pairs], axis=1)
 
 
+def measure_pairs(
+    op: SensingOperator, signals: Sequence[np.ndarray], sigma: float, noise_seeds
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``(x, A x + sigma n)`` pairs, measuring all signals as one column block.
+
+    Signal ``i`` draws its standard normal noise ``n`` from
+    ``generator(noise_seeds[i])``; ``sigma = 0`` adds none.
+    """
+    x = np.array([as_vector(s, op.n, finite=False) for s in signals]).reshape(-1, op.n)
+    y = op.apply(x.T)
+    if sigma > 0:
+        noise = [generator(seed).standard_normal(op.m) for seed in noise_seeds]
+        y = y + sigma * np.array(noise).T
+    return list(zip(x, np.ascontiguousarray(y.T)))
+
+
 def make_dataset(
     op: SensingOperator,
     signals: Sequence[np.ndarray],
@@ -60,18 +79,11 @@ def make_dataset(
     provenance: Optional[dict] = None,
 ) -> Dataset:
     """Measure each signal through ``op``; image ``i`` draws noise stream ``seed ^ i``."""
-    from .rng import stream
-
-    pairs = []
-    for i, x in enumerate(signals):
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.size != op.n:
-            raise ShapeError("signal length", op.n, x.size)
-        y = op.apply(x)
-        if noise_sigma > 0:
-            y = y + noise_sigma * stream(seed, i).standard_normal(op.m)
-        pairs.append((x, y))
-    return Dataset(pairs=pairs, provenance=provenance or {"seed": seed, "sigma": noise_sigma})
+    seeds = [derive_seed(seed, i) for i in range(len(signals))]
+    return Dataset(
+        pairs=measure_pairs(op, signals, noise_sigma, seeds),
+        provenance=provenance or {"seed": seed, "sigma": noise_sigma},
+    )
 
 
 class Reconstructor:
@@ -128,7 +140,8 @@ class TikhonovReconstructor(Reconstructor):
         self._config = CorrectionConfig(mode="regularized", lam=1.0 / self.alpha)
 
     def reconstruct(self, y, image_id=None) -> np.ndarray:
-        zero = np.zeros(self.engine.op.n)
+        y = as_vector(y, self.engine.op.m, "measurement")
+        zero = np.zeros((self.engine.op.n,) + y.shape[1:])
         return regularized_correction(self.engine, y, zero, self._config)
 
 
@@ -151,19 +164,8 @@ class LearnedLinearReconstructor(Reconstructor):
         self.op = op
 
     def reconstruct(self, y, image_id=None) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if y.size != self.weights.shape[1]:
-            raise ShapeError("measurement length", self.weights.shape[1], y.size)
-        return self.weights @ y + self.bias
-
-
-class TrainableLinearReconstructor(LearnedLinearReconstructor):
-    """Affine map whose coefficients are updated by gradient descent."""
-
-    kind = "trainable_linear"
-
-    def snapshot(self) -> LearnedLinearReconstructor:
-        return LearnedLinearReconstructor(self.weights.copy(), self.bias.copy(), self.op)
+        y = as_vector(y, self.weights.shape[1], "measurement", finite=False)
+        return (self.bias + (self.weights @ y).T).T
 
 
 class ExternalReconstructor(Reconstructor):
@@ -182,6 +184,8 @@ class ExternalReconstructor(Reconstructor):
 
         if image_id is None:
             raise ParameterError("external reconstructor needs an image id")
+        if not isinstance(image_id, str):
+            return np.stack([self.reconstruct(None, iid) for iid in image_id], axis=1)
         path = self.source_dir / self.pattern.format(image_id=image_id)
         if not path.exists():
             raise MissingOutputError(f"no stored reconstruction for id {image_id!r} at {path}")
@@ -246,29 +250,18 @@ def training_loss(weights: np.ndarray, bias: np.ndarray, dataset: Dataset) -> fl
     return float(np.mean(np.sum(r * r, axis=0))) / x_mat.shape[0]
 
 
-def gradient_lipschitz(dataset: Dataset, iters: int = 200, seed: int = 0) -> float:
-    """Largest eigenvalue of the empirical quadratic's Hessian (power iteration).
+def gradient_lipschitz(dataset: Dataset) -> float:
+    """Largest eigenvalue of the empirical quadratic's Hessian, in closed form.
 
     The objective is (1/N) sum_i ||W y_i + b - x_i||^2 over (W, b); its
-    Hessian is 2/N [Y; 1][Y; 1]^T (per output row), so gradient descent with
-    learning rate <= 1/L is non-expansive.
+    Hessian is 2/N [Y; 1][Y; 1]^T (per output row), whose largest eigenvalue
+    is 2/N ||[Y; 1]||_2^2, so gradient descent with learning rate <= 1/L is
+    non-expansive.
     """
     y_mat = dataset.measurement_matrix()
     n_samples = y_mat.shape[1]
     design = np.vstack([y_mat, np.ones((1, n_samples))])
-    hess = 2.0 / n_samples * (design @ design.T)
-    rng = generator(seed)
-    v = rng.standard_normal(hess.shape[0])
-    v /= np.linalg.norm(v)
-    value = 0.0
-    for _ in range(iters):
-        w = hess @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        value = nw
-    return float(value)
+    return 2.0 / n_samples * float(np.linalg.norm(design, 2)) ** 2
 
 
 @dataclass
@@ -295,8 +288,8 @@ def train_epochs(
     """Full-batch gradient descent on the empirical squared-error objective.
 
     Initialization is the scaled adjoint W = A^T / ||A||^2, b = 0.  When
-    ``learning_rate`` is None it defaults to 1/L with L estimated by power
-    iteration, which makes the recorded loss non-increasing.
+    ``learning_rate`` is None it defaults to 1/L with L from
+    ``gradient_lipschitz``, which makes the recorded loss non-increasing.
     """
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
@@ -309,32 +302,32 @@ def train_epochs(
     y_mat = dataset.measurement_matrix()
     n_samples = x_mat.shape[1]
     if learning_rate is None:
-        lipschitz = gradient_lipschitz(dataset, seed=seed)
+        lipschitz = gradient_lipschitz(dataset)
         if lipschitz == 0.0:
             raise ParameterError("degenerate dataset: zero curvature")
         learning_rate = 1.0 / lipschitz
 
     norm = operator_norm(op, seed=seed)
-    model = TrainableLinearReconstructor(
-        op.to_dense().T / max(norm * norm, np.finfo(float).tiny), np.zeros(op.n), op
-    )
+    weights = op.to_dense().T / max(norm * norm, np.finfo(float).tiny)
+    bias = np.zeros(op.n)
 
     def loss(w, b):
         r = w @ y_mat + b[:, None] - x_mat
         return float(np.mean(np.sum(r * r, axis=0)))
 
-    snapshots = [model.snapshot()]
-    losses = [loss(model.weights, model.bias)]
+    # every epoch makes new arrays, so a snapshot never changes afterwards
+    snapshots = [LearnedLinearReconstructor(weights, bias, op)]
+    losses = [loss(weights, bias)]
     for epoch in range(1, epochs + 1):
-        r = model.weights @ y_mat + model.bias[:, None] - x_mat
+        r = weights @ y_mat + bias[:, None] - x_mat
         grad_w = (2.0 / n_samples) * (r @ y_mat.T)
         grad_b = (2.0 / n_samples) * r.sum(axis=1)
-        model.weights = model.weights - learning_rate * grad_w
-        model.bias = model.bias - learning_rate * grad_b
-        value = loss(model.weights, model.bias)
+        weights = weights - learning_rate * grad_w
+        bias = bias - learning_rate * grad_b
+        value = loss(weights, bias)
         if not np.isfinite(value) or value / op.n > divergence_limit:
             raise DivergenceError(epoch, value / op.n)
-        snapshots.append(model.snapshot())
+        snapshots.append(LearnedLinearReconstructor(weights, bias, op))
         losses.append(value)
     # report per-element MSE, consistent with the metrics module
     per_element = np.asarray(losses) / op.n

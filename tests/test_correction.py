@@ -14,7 +14,6 @@ from projcorr import (
     MaskOperator,
     NoiseModel,
     ParameterError,
-    UnsupportedConfigError,
     correct,
     exact_correction,
     lambda_grid_search,
@@ -197,16 +196,22 @@ class TestRegularizedCorrection:
             object.__setattr__(good, "lam", -1.0)
             regularized_correction(engine, [1.0, 2.0], [0.0, 0.0, 0.0], good)
 
-    def test_dense_noise_needs_materializable_operator(self, rng):
-        op = make_random_projection(32, 8, seed=1, materialize_limit=0)
-        engine = make_engine(op, method="cg_minimum_norm")
+    def test_dense_noise_on_streamed_operator(self, rng):
+        # the CG path applies A, A^T and S^-1 only, so a streamed operator
+        # gives the same dense-noise correction as its materialized twin
+        streamed = make_random_projection(32, 8, seed=1, materialize_limit=0)
+        dense = make_random_projection(32, 8, seed=1)
         config = CorrectionConfig(
-            mode="regularized", lam=0.1, noise=NoiseModel.dense(np.eye(8))
+            mode="regularized", lam=0.1, noise=NoiseModel.dense(_random_spd(rng, 8)),
+            cg_tol=1e-12,
         )
-        with pytest.raises(UnsupportedConfigError):
-            regularized_correction(
-                engine, rng.standard_normal(8), rng.standard_normal(32), config
-            )
+        y = rng.standard_normal(8)
+        fhat = rng.standard_normal(32)
+        out_stream = regularized_correction(
+            make_engine(streamed, method="cg_minimum_norm"), y, fhat, config
+        )
+        out_dense = regularized_correction(make_engine(dense), y, fhat, config)
+        assert np.linalg.norm(out_stream - out_dense) <= 1e-8
 
     def test_matrix_free_cg_path_on_streamed_operator(self, rng):
         streamed = make_random_projection(32, 8, seed=1, materialize_limit=0)

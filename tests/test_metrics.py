@@ -300,6 +300,18 @@ class TestMonteCarloNoiseError:
         expected = float(np.linalg.norm(np.linalg.pinv(op.matrix) @ draw) ** 2)
         assert value == pytest.approx(expected, rel=1e-9)
 
+    def test_streamed_operator_matches_materialized_twin(self, rng):
+        # both go through one path: A+ applied to the block of noise draws
+        streamed = make_random_projection(24, 6, seed=8, materialize_limit=0)
+        dense = make_random_projection(24, 6, seed=8)
+        noise = NoiseModel.isotropic(0.3)
+        x = rng.standard_normal(24)
+        values = [
+            monte_carlo_noise_error(make_engine(op), op, x, noise, trials=40, seed=12)
+            for op in (streamed, dense)
+        ]
+        assert values[0] == pytest.approx(values[1], rel=1e-10)
+
     def test_invalid_trials(self, rng):
         op = DenseOperator(rng.standard_normal((2, 3)))
         engine = make_engine(op)

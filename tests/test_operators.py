@@ -190,6 +190,12 @@ class TestGaussianBlur:
             x = rng.standard_normal(g.size)
             assert np.linalg.norm(op.apply(x) - dense @ x) <= 1e-10
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_to_dense_is_column_stack_of_applies(self, channels):
+        # to_dense filters the identity as one block of images
+        op = make_gaussian_blur(Geometry(8, 6, channels), (1.3, 0.6), truncation=2.0)
+        assert np.array_equal(op.to_dense(), dense_circulant_oracle(op))
+
     def test_kernel_larger_than_image_error(self):
         with pytest.raises(ParameterError):
             make_gaussian_blur(Geometry(8, 8, 1), (3.0, 0.15), truncation=4.0)

@@ -3,19 +3,24 @@ import pytest
 
 from projcorr import (
     CgEngine,
+    CorrectionConfig,
     DenseOperator,
     Geometry,
     MaskOperator,
     MaskEngine,
+    NoiseModel,
     ParameterError,
     SolverError,
+    SpectralEngine,
     SvdEngine,
     UnsupportedConfigError,
     conjugate_gradient,
+    exact_correction,
     make_engine,
     make_gaussian_blur,
     make_inpainting_mask,
     make_random_projection,
+    regularized_correction,
 )
 
 
@@ -29,9 +34,7 @@ def materialize_engine_pinv(engine):
     return cols
 
 
-@pytest.fixture
-def engine_zoo(rng):
-    """One engine of every method, each bound to its natural operator."""
+def _engine_zoo(rng):
     g = Geometry(8, 8, 1)
     dense = DenseOperator(rng.standard_normal((5, 9)))
     rank_deficient = DenseOperator(rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9)))
@@ -47,6 +50,12 @@ def engine_zoo(rng):
         make_engine(color_blur),
         make_engine(spi, method="cg_minimum_norm"),
     ]
+
+
+@pytest.fixture
+def engine_zoo(rng):
+    """One engine of every method, each bound to its natural operator."""
+    return _engine_zoo(rng)
 
 
 class TestPinvApplyExamples:
@@ -267,3 +276,68 @@ def test_conjugate_gradient_solves_spd(rng):
 def test_conjugate_gradient_zero_rhs():
     x = conjugate_gradient(lambda v: v, np.zeros(4), tol=1e-12, max_iter=10)
     assert np.array_equal(x, np.zeros(4))
+
+
+BLOCK_ENGINES = ["svd", "svd_rank_deficient", "mask", "blur", "blur_3ch", "cg", "cg_streamed"]
+
+
+def _block_operations(rng, m):
+    diagonal = rng.uniform(0.05, 0.2, m)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    noises = {
+        "none": NoiseModel.none(),
+        "isotropic": NoiseModel.isotropic(0.1),
+        "diagonal": NoiseModel.diagonal(diagonal),
+        "dense": NoiseModel.dense((q * diagonal) @ q.T),
+    }
+    ops = {
+        "apply": ("x", lambda e, x: e.op.apply(x)),
+        "adjoint": ("y", lambda e, y: e.op.adjoint(y)),
+        "pinv_apply": ("y", lambda e, y: e.pinv_apply(y)),
+        "range_projector_apply": ("x", lambda e, x: e.range_projector_apply(x)),
+        "nullspace_projector_apply": ("x", lambda e, x: e.nullspace_projector_apply(x)),
+        "regularized_solve": ("yx", lambda e, y, x: e.regularized_solve(y, x, 3.0)),
+        "exact_correction": ("yx", exact_correction),
+    }
+    for name, noise in noises.items():
+        config = CorrectionConfig(mode="regularized", lam=0.05, noise=noise, cg_tol=1e-13)
+        ops[f"regularized_correction[{name}]"] = (
+            "yx", lambda e, y, x, config=config: regularized_correction(e, y, x, config)
+        )
+    return ops
+
+
+@pytest.mark.parametrize("index", range(len(BLOCK_ENGINES)), ids=BLOCK_ENGINES)
+def test_block_equals_column_stack(index, rng):
+    # every layer maps an (n, N) block column by column; the mask and the
+    # blur filter elementwise, so their blocks match bit for bit
+    streamed = make_random_projection(32, 8, seed=2, materialize_limit=0)
+    engine = (_engine_zoo(rng) + [make_engine(streamed)])[index]
+    assert engine.op.materializable() != (BLOCK_ENGINES[index] == "cg_streamed")
+    bitwise = isinstance(engine, (MaskEngine, SpectralEngine))
+    blocks = {
+        "x": rng.standard_normal((engine.op.n, 3)),
+        "y": rng.standard_normal((engine.op.m, 3)),
+    }
+    for name, (args, operation) in _block_operations(rng, engine.op.m).items():
+        inputs = [blocks[a] for a in args]
+        block = operation(engine, *inputs)
+        columns = [operation(engine, *(b[:, j] for b in inputs)) for j in range(3)]
+        if block is None:  # the CG engine has no closed-form solve
+            assert all(c is None for c in columns), name
+            continue
+        stacked = np.stack(columns, axis=1)
+        assert block.shape == stacked.shape, name
+        if bitwise:
+            assert np.array_equal(block, stacked), name
+        else:
+            error = np.linalg.norm(block - stacked)
+            assert error <= 1e-12 * np.linalg.norm(stacked), (name, error)
+
+
+def test_single_column_block_keeps_its_shape(engine_zoo, rng):
+    for engine in engine_zoo:
+        x = rng.standard_normal((engine.op.n, 1))
+        assert engine.op.apply(x).shape == (engine.op.m, 1)
+        assert engine.nullspace_projector_apply(x).shape == (engine.op.n, 1)
+        assert engine.op.apply(x.T).shape == (engine.op.m,)
