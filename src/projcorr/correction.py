@@ -70,9 +70,12 @@ def _check_pair(engine: PinvEngine, y, fhat) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def exact_correction(engine: PinvEngine, y, fhat) -> np.ndarray:
-    """Closest point to ``fhat`` with A x = y: A+ y + (I - A+ A) fhat."""
+    """Closest point to ``fhat`` with A x = y: A+ y + (I - A+ A) fhat.
+
+    Computed as fhat + A+ (y - A fhat), the same point with one A+ solve.
+    """
     y, fhat = _check_pair(engine, y, fhat)
-    return engine.pinv_apply(y) + engine.nullspace_projector_apply(fhat)
+    return fhat + engine.pinv_apply(y - engine.op.apply(fhat))
 
 
 def _regularized_cg(engine: PinvEngine, y, fhat, config: CorrectionConfig):

@@ -30,7 +30,9 @@ projectors from it and has no closed-form regularized solve.
 
 Every operation takes a flat vector or a column block (one signal or
 measurement per column) and returns the same shape; the filter factors
-scale the rows of a block, ``(phi * z.T).T``.
+scale the rows of a block, ``(phi * z.T).T``, and ``conjugate_gradient``
+runs the columns of a block in lockstep, one operator product per iteration
+for all of them.
 """
 
 from __future__ import annotations
@@ -54,37 +56,51 @@ def conjugate_gradient(
 ) -> np.ndarray:
     """Solve the SPD system M z = b to relative residual ``tol``.
 
-    A 2-D ``b`` is solved column by column: CG's step sizes belong to one
-    right-hand side, so ``matvec`` only ever sees vectors.
+    A 2-D ``b`` holds one right-hand side per column, and the columns run
+    one CG each in lockstep: every column keeps its own step sizes, its own
+    threshold ``tol * ||b_j||`` and its own stop.  ``matvec`` is called once
+    per iteration, on the ``(n, k)`` block of the k columns still running
+    (on a vector for a 1-D ``b``), so a block costs one matrix product per
+    iteration instead of one per column.  The iterates are kept as one
+    contiguous row per right-hand side, so a column's dot products, and so
+    its iterates, do not depend on which columns share its block.
+
+    Raises ``SolverError`` if a column misses ``tol`` after ``max_iter``
+    iterations; for a block it reports the worst such column's residual.
     """
-    if b.ndim == 2:
-        z = np.empty_like(b)
-        for j in range(b.shape[1]):
-            z[:, j] = conjugate_gradient(matvec, b[:, j], tol, max_iter)
-        return z
-    z = np.zeros_like(b)
-    r = b.copy()
+    r = np.array(b.T, order="C", ndmin=2)
+    z = np.zeros_like(r)
     p = r.copy()
-    rs = float(r @ r)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return z
+    rs = np.vecdot(r, r)
+    b_norm = np.sqrt(rs)
     threshold = tol * b_norm
+
+    def unconverged():
+        # a NaN residual counts as unconverged, so a broken solve raises
+        return ~(np.sqrt(rs) <= threshold)
+
     for _ in range(max_iter):
-        if np.sqrt(rs) <= threshold:
-            return z
-        mp = matvec(p)
-        alpha = rs / float(p @ mp)
-        z += alpha * p
-        r -= alpha * mp
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if np.sqrt(rs) <= threshold:
-        return z
-    raise SolverError(
-        "conjugate gradient did not converge", np.sqrt(rs) / b_norm, max_iter
-    )
+        active = np.flatnonzero(unconverged())
+        if active.size == 0:
+            break
+        pa = p[active]
+        mp = matvec(pa.T if b.ndim == 2 else pa[0])
+        mp = np.array(mp.T, order="C", ndmin=2)
+        alpha = (rs[active] / np.vecdot(pa, mp))[:, None]
+        z[active] += alpha * pa
+        ra = r[active] - alpha * mp
+        rs_new = np.vecdot(ra, ra)
+        r[active] = ra
+        p[active] = ra + (rs_new / rs[active])[:, None] * pa
+        rs[active] = rs_new
+    failed = unconverged()
+    if failed.any():
+        residual = np.max(np.sqrt(rs[failed]) / b_norm[failed])
+        message = "conjugate gradient did not converge"
+        if b.ndim == 2:
+            message += f" on {int(failed.sum())} of {b.shape[1]} columns"
+        raise SolverError(message, residual, max_iter)
+    return z.T if b.ndim == 2 else z[0]
 
 
 class PinvEngine:

@@ -512,6 +512,7 @@ data = make_dataset(op, [rng.random(op.n) for _ in range(4)])
 x, y = data.pairs[0]
 fhat = op.adjoint(y)
 exact_correction(engine, y, fhat)
+engine.nullspace_projector_apply(fhat)
 regularized_correction(engine, y, fhat, CorrectionConfig(mode="regularized", lam=0.1))
 fit_learned_linear(op, data, alpha=1e-3)
 train_epochs(op, data, epochs=1)

@@ -249,6 +249,15 @@ class TestRandomProjection:
         assert np.allclose(streamed.apply(x), dense.apply(x), rtol=1e-12, atol=1e-14)
         assert np.allclose(streamed.adjoint(u), dense.adjoint(u), rtol=1e-12, atol=1e-14)
 
+    def test_materialized_adjoint_matches_dense_transpose(self, rng):
+        op = make_random_projection(64, 16, seed=5)
+        assert op._dense is not None
+        for u in (rng.standard_normal(16), rng.standard_normal((16, 5))):
+            want = op.to_dense().T @ u
+            got = op.adjoint(u)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_entries_are_scaled_signs(self):
         op = make_random_projection(16, 4, seed=1)
         assert np.all(np.isin(op.to_dense() * 2.0, [-1.0, 1.0]))

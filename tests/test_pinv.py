@@ -278,6 +278,89 @@ def test_conjugate_gradient_zero_rhs():
     assert np.array_equal(x, np.zeros(4))
 
 
+def _ill_conditioned_matvec():
+    # a diagonal SPD operator of condition 1e6: each column's product is exact
+    # in any block, so a block solve and its column solves differ only through
+    # CG's bookkeeping
+    eigenvalues = np.logspace(0, 6, 40)
+    return lambda v: (eigenvalues * v.T).T
+
+
+def test_lockstep_block_matches_column_solves(rng):
+    # a zero column, an eigenvector (one iteration) and a random right-hand
+    # side on a condition-1e6 system: each column must follow its own 1-D solve
+    matvec = _ill_conditioned_matvec()
+    b = np.stack([np.zeros(40), np.eye(40)[3], rng.standard_normal(40)], axis=1)
+    block = conjugate_gradient(matvec, b, tol=1e-10, max_iter=2000)
+    assert np.array_equal(block[:, 0], np.zeros(40))
+    for j in range(3):
+        column = conjugate_gradient(matvec, b[:, j], tol=1e-10, max_iter=2000)
+        assert np.linalg.norm(block[:, j] - column) <= 1e-12 * np.linalg.norm(column)
+
+
+def test_lockstep_block_error_reports_worst_column(rng):
+    matvec = _ill_conditioned_matvec()
+    b = np.stack([np.eye(40)[0], rng.standard_normal(40), rng.standard_normal(40)], axis=1)
+    residuals = []
+    for j in (1, 2):
+        with pytest.raises(SolverError) as err:
+            conjugate_gradient(matvec, b[:, j], tol=1e-12, max_iter=3)
+        residuals.append(err.value.residual)
+    with pytest.raises(SolverError) as err:
+        conjugate_gradient(matvec, b, tol=1e-12, max_iter=3)
+    assert err.value.iterations == 3
+    assert err.value.residual == pytest.approx(max(residuals), rel=1e-12)
+    assert "2 of 3 columns" in str(err.value)
+
+
+def _record_calls(obj, name):
+    """Wrap the callable ``obj.name`` so every argument it gets is recorded."""
+    calls = []
+    method = getattr(obj, name)
+
+    def recorded(arg):
+        calls.append(arg)
+        return method(arg)
+
+    setattr(obj, name, recorded)
+    return calls
+
+
+def test_cg_engine_block_runs_one_matvec_per_iteration(rng):
+    # columns needing 1, ~20 and ~20 iterations: the block pays for its
+    # slowest column, not for the sum over its columns
+    u, _, vt = np.linalg.svd(rng.standard_normal((20, 50)), full_matrices=False)
+    engine = CgEngine(DenseOperator((u * np.logspace(0, 2, 20)) @ vt))
+    y = np.stack([u[:, 0], rng.standard_normal(20), rng.standard_normal(20)], axis=1)
+    calls = _record_calls(engine, "_gram_apply")
+    per_column = []
+    for j in range(3):
+        calls.clear()
+        engine.pinv_apply(y[:, j])
+        per_column.append(len(calls))
+    calls.clear()
+    engine.pinv_apply(y)
+    assert per_column[0] == 1
+    assert len(calls) <= max(per_column) < sum(per_column)
+    assert calls[0].shape == (20, 3) and calls[-1].shape[1] < 3
+
+
+def test_streamed_block_generates_rows_once_per_iteration(rng):
+    op = make_random_projection(32, 8, seed=2, materialize_limit=0)
+    engine = make_engine(op)
+    rows = _record_calls(op, "_row")
+    y = rng.standard_normal((op.m, 3))
+    single = []
+    for j in range(3):
+        rows.clear()
+        engine.pinv_apply(y[:, j:j + 1])
+        single.append(len(rows))
+    rows.clear()
+    engine.pinv_apply(y)
+    # one iteration is one apply and one adjoint, m rows each
+    assert len(rows) <= max(single) + 2 * op.m
+
+
 BLOCK_ENGINES = ["svd", "svd_rank_deficient", "mask", "blur", "blur_3ch", "cg", "cg_streamed"]
 
 
