@@ -9,10 +9,13 @@ two corrections are provided:
 
 * regularized:  x* = (I + lam * A^T S^-1 A)^-1 (fhat + lam * A^T S^-1 y)
   the minimizer of ||x - fhat||^2 + lam * (A x - y)^T S^-1 (A x - y)
-  for noise covariance S.  With S = sigma^2 I (or no noise model, S = I)
-  it is the engine's closed-form spectral filter with weight lam / sigma^2;
-  every other engine and covariance is solved by matrix-free conjugate
-  gradient.
+  for noise covariance S.  By the Woodbury identity it is also
+  x* = fhat + A^T z with (A A^T + S / lam) z = y - A fhat, a system in
+  measurement space that needs S but not its inverse.  With S = sigma^2 I
+  (or no noise model, S = I) it is the engine's regularized solve with
+  weight lam / sigma^2, a closed-form spectral filter on every engine but
+  the CG one; every other covariance is the engine's ``dual_solve`` of the
+  system above.
 
 Both accept one ``(y, fhat)`` pair of vectors or a block of pairs, an
 ``(m, N)`` measurement block with an ``(n, N)`` reconstruction block, and
@@ -34,7 +37,7 @@ from .errors import ParameterError, ShapeError
 from .metrics import mean_quality, ssim_applies
 from .noise import NoiseModel
 from .operators import as_vector
-from .pinv import DEFAULT_CG_TOL, PinvEngine, conjugate_gradient
+from .pinv import PinvEngine
 
 logger = logging.getLogger(__name__)
 
@@ -51,8 +54,6 @@ class CorrectionConfig:
     mode: str = "exact"
     lam: float = 0.0
     noise: NoiseModel = field(default_factory=NoiseModel.none)
-    cg_tol: float = DEFAULT_CG_TOL
-    cg_max_iter: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in ("exact", "regularized"):
@@ -78,24 +79,13 @@ def exact_correction(engine: PinvEngine, y, fhat) -> np.ndarray:
     return fhat + engine.pinv_apply(y - engine.op.apply(fhat))
 
 
-def _regularized_cg(engine: PinvEngine, y, fhat, config: CorrectionConfig):
-    op = engine.op
-
-    def matvec(v):
-        return v + config.lam * op.adjoint(config.noise.inv_apply(op.apply(v)))
-
-    rhs = fhat + config.lam * op.adjoint(config.noise.inv_apply(y))
-    max_iter = config.cg_max_iter if config.cg_max_iter is not None else 10 * op.n
-    return conjugate_gradient(matvec, rhs, config.cg_tol, max_iter)
-
-
 def regularized_correction(
     engine: PinvEngine, y, fhat, config: CorrectionConfig
 ) -> np.ndarray:
     """Minimizer of ||x - fhat||^2 + lam (A x - y)^T S^-1 (A x - y).
 
-    Uses the engine's closed form for S = sigma^2 I and for no noise model,
-    and conjugate gradient otherwise.
+    Uses the engine's regularized solve for S = sigma^2 I and for no noise
+    model, and otherwise fhat + A^T z with (A A^T + S / lam) z = y - A fhat.
     """
     if config.lam < 0:
         raise ParameterError(f"regularization weight must be >= 0, got {config.lam}")
@@ -106,10 +96,9 @@ def regularized_correction(
         return fhat.copy()
     if noise.form in ("none", "isotropic"):
         weight = config.lam if noise.form == "none" else config.lam / noise.sigma ** 2
-        out = engine.regularized_solve(y, fhat, weight)
-        if out is not None:
-            return out
-    return _regularized_cg(engine, y, fhat, config)
+        return engine.regularized_solve(y, fhat, weight)
+    residual = y - engine.op.apply(fhat)
+    return fhat + engine.dual_solve(residual, lambda z: noise.apply(z) / config.lam)
 
 
 def correct(engine: PinvEngine, y, fhat, config: CorrectionConfig) -> np.ndarray:

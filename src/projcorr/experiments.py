@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -216,32 +216,36 @@ def _build_reconstructor(
     op: SensingOperator,
     engine: PinvEngine,
     sigma: float,
+    kind: str,
+    train_set: Optional[Dataset] = None,
 ) -> Reconstructor:
+    """The ``kind`` reconstructor; learned kinds fit ``train_set`` if given."""
     spec = config.reconstructor
-    if spec.kind == "adjoint":
+    if kind == "adjoint":
         return AdjointReconstructor(op)
-    if spec.kind == "pinv":
+    if kind == "pinv":
         return PinvReconstructor(engine)
-    if spec.kind == "tikhonov":
+    if kind == "tikhonov":
         return TikhonovReconstructor(engine, spec.alpha)
-    if spec.kind == "external":
+    if kind == "external":
         if spec.source_dir is None:
             raise ParameterError("external reconstructor needs source_dir")
         return ExternalReconstructor(spec.source_dir, pattern=spec.pattern, n=op.n)
-    if spec.kind in ("learned_linear", "trainable_linear"):
-        geometry = op.geometry
-        if geometry is None:
-            raise ParameterError("training a reconstructor needs operator geometry")
-        signals = make_smooth_images(geometry, config.dataset.count, config.dataset.seed)
-        train_set = make_dataset(op, signals, noise_sigma=sigma, seed=config.base_seed)
-        if spec.kind == "learned_linear":
+    if kind in ("learned_linear", "trainable_linear"):
+        if train_set is None:
+            geometry = op.geometry
+            if geometry is None:
+                raise ParameterError("training a reconstructor needs operator geometry")
+            signals = make_smooth_images(geometry, config.dataset.count, config.dataset.seed)
+            train_set = make_dataset(op, signals, noise_sigma=sigma, seed=config.base_seed)
+        if kind == "learned_linear":
             return fit_learned_linear(op, train_set, alpha=spec.alpha)
         history = train_epochs(
             op, train_set, spec.epochs, learning_rate=spec.learning_rate,
             seed=config.base_seed,
         )
         return history.final
-    raise ParameterError(f"unknown reconstructor kind {spec.kind!r}")
+    raise ParameterError(f"unknown reconstructor kind {kind!r}")
 
 
 def run_reconstruct(config: ExperimentConfig) -> dict:
@@ -249,7 +253,7 @@ def run_reconstruct(config: ExperimentConfig) -> dict:
     manifest, base_dir, op, op_spec = _load_manifest(config)
     engine = build_engine(op, op_spec, config.correction)
     sigma = config.noise.sigma_or(manifest.get("sigma", 0.0))
-    recon = _build_reconstructor(config, op, engine, sigma)
+    recon = _build_reconstructor(config, op, engine, sigma, config.reconstructor.kind)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = manifest["images"]
@@ -292,13 +296,11 @@ def run_correct(config: ExperimentConfig) -> dict:
     if config.dataset.reconstruction_dir is not None:
         recon = ExternalReconstructor(config.dataset.reconstruction_dir, n=op.n)
     else:
-        recon = _build_reconstructor(config, op, engine, sigma)
+        recon = _build_reconstructor(config, op, engine, sigma, config.reconstructor.kind)
     correction = CorrectionConfig(
         mode=config.correction.mode,
         lam=config.correction.lam,
         noise=config.noise.model(sigma),
-        cg_tol=config.correction.cg_tol,
-        cg_max_iter=config.correction.cg_max_iter,
     )
     out = Path(config.output_dir)
     (out / "corrected").mkdir(parents=True, exist_ok=True)
@@ -493,23 +495,7 @@ def run_bench(config: ExperimentConfig) -> dict:
     rows = []
     summaries = []
     for kind in config.reconstructor.kinds:
-        if kind == "adjoint":
-            recon = AdjointReconstructor(op)
-        elif kind == "pinv":
-            recon = PinvReconstructor(engine)
-        elif kind == "tikhonov":
-            recon = TikhonovReconstructor(engine, config.reconstructor.alpha)
-        elif kind == "learned_linear":
-            recon = fit_learned_linear(op, train_set, alpha=config.reconstructor.alpha)
-        elif kind == "trainable_linear":
-            recon = train_epochs(
-                op, train_set, config.reconstructor.epochs,
-                learning_rate=config.reconstructor.learning_rate,
-                seed=config.base_seed,
-            ).final
-        else:
-            raise ParameterError(f"unknown bench reconstructor kind {kind!r}")
-
+        recon = _build_reconstructor(config, op, engine, sigma, kind, train_set)
         fhat = recon(y)
         psnr_net, ssim_net = mean_quality(fhat, x, op.geometry)
         psnr_projected, ssim_projected = mean_quality(

@@ -87,6 +87,19 @@ class NoiseModel:
         if d is not None and d != m:
             raise ShapeError("noise model dimension", m, d)
 
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """S u (identity for the ``none`` form); u may hold columns."""
+        if self.form == "none":
+            return u
+        if self.form == "isotropic":
+            return u * self.sigma ** 2
+        self.check_dim(u.shape[0])
+        if self.form == "diagonal":
+            return u * (self.variances[:, None] if u.ndim == 2 else self.variances)
+        # one dot product per row, so a block column gets the bits of that
+        # column alone; ``S @ block`` does not
+        return np.vecdot(self.covariance, u.T[..., None, :]).T
+
     def inv_apply(self, u: np.ndarray) -> np.ndarray:
         """S^-1 u (identity for the ``none`` form); u may hold columns."""
         if self.form == "none":

@@ -7,7 +7,7 @@ decomposition A = U diag(s) V^H, computed once at construction:
 * ``mask_analytic``   -- U = I, V = the kept columns of the identity, s = 1
 * ``spectral_fft``    -- U = V = the per-channel DFT, s = conj(transfer) per
                          frequency bin (the multiplier ``apply`` uses)
-* ``cg_minimum_norm`` -- matrix-free: solve A A^T z = y, return A^T z
+* ``cg_minimum_norm`` -- matrix-free: A+ y = A^T z with A A^T z = y
                          (valid for full-row-rank operators)
 
 A decomposition engine implements one transform, ``_filter``:
@@ -25,8 +25,10 @@ Directions with |s| <= rcond * max|s| are null directions (not retained).
                                    psi = w |s|^2 / (1 + w |s|^2) on every
                                    direction, so none divides by a small s
 
-The CG engine holds no decomposition: it applies A+ by CG, derives the
-projectors from it and has no closed-form regularized solve.
+Every solve without a closed form is ``dual_solve``: one conjugate gradient
+for A^T z with (A A^T + shift) z = r, at the engine's ``cg_tol`` and
+``cg_max_iter``.  The CG engine holds no decomposition and runs every
+operation through it.
 
 Every operation takes a flat vector or a column block (one signal or
 measurement per column) and returns the same shape; the filter factors
@@ -107,13 +109,25 @@ class PinvEngine:
     """A+, both projectors and the regularized solve as filters on ``s``.
 
     Subclasses hand their spectrum ``s`` to this constructor and implement
-    ``_filter``; ``CgEngine`` instead overrides the operations it computes.
+    ``_filter``; ``CgEngine`` has no spectrum and instead overrides the
+    operations it computes.
     """
 
     method: str = "abstract"
 
-    def __init__(self, op: SensingOperator, s: np.ndarray, rcond: float = DEFAULT_RCOND):
+    def __init__(
+        self,
+        op: SensingOperator,
+        s: Optional[np.ndarray] = None,
+        rcond: float = DEFAULT_RCOND,
+        cg_tol: float = DEFAULT_CG_TOL,
+        cg_max_iter: Optional[int] = None,
+    ):
         self.op = op
+        self.cg_tol = float(cg_tol)
+        self.cg_max_iter = int(cg_max_iter) if cg_max_iter is not None else 10 * op.m
+        if s is None:
+            return
         self.rcond = float(rcond)
         self.s = s
         magnitude = np.abs(s)
@@ -129,6 +143,22 @@ class PinvEngine:
         """diag(U^H S U): the variance of noise with covariance S along each U."""
         raise NotImplementedError
 
+    def _gram_apply(self, z: np.ndarray) -> np.ndarray:
+        return self.op.apply(self.op.adjoint(z))
+
+    def dual_solve(self, r, shift: Optional[Callable] = None) -> np.ndarray:
+        """A^T z with (A A^T + shift) z = r, by conjugate gradient.
+
+        ``shift`` maps z to a symmetric positive semidefinite term; without
+        one, A A^T must be nonsingular.
+        """
+
+        def matvec(z):
+            gram = self._gram_apply(z)
+            return gram if shift is None else gram + shift(z)
+
+        return self.op.adjoint(conjugate_gradient(matvec, r, self.cg_tol, self.cg_max_iter))
+
     def pinv_apply(self, y) -> np.ndarray:
         """Minimum-norm least-squares solution A+ y."""
         return self._filter(self.op._check_measurement(y), None, self.inverse, None)
@@ -142,11 +172,8 @@ class PinvEngine:
         v = self.op._check_signal(v)
         return v - self._filter(None, v, None, self.retained)
 
-    def regularized_solve(self, y, fhat, weight: float) -> Optional[np.ndarray]:
-        """argmin ||x - fhat||^2 + weight ||A x - y||^2 in closed form.
-
-        Returns None when the engine holds no decomposition of A.
-        """
+    def regularized_solve(self, y, fhat, weight: float) -> np.ndarray:
+        """argmin ||x - fhat||^2 + weight ||A x - y||^2 in closed form."""
         y = self.op._check_measurement(y)
         fhat = self.op._check_signal(fhat)
         power = np.abs(self.s) ** 2
@@ -166,11 +193,11 @@ class SvdEngine(PinvEngine):
 
     method = "svd_dense"
 
-    def __init__(self, op: SensingOperator, rcond: float = DEFAULT_RCOND):
+    def __init__(self, op: SensingOperator, rcond: float = DEFAULT_RCOND, **cg):
         a = op.to_dense()
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         rank = int(np.sum(s > rcond * s[0])) if s.size and s[0] > 0 else 0
-        super().__init__(op, s[:rank], rcond)
+        super().__init__(op, s[:rank], rcond, **cg)
         self.u = u[:, :rank]
         self.vt = vt[:rank]
 
@@ -193,10 +220,10 @@ class MaskEngine(PinvEngine):
 
     method = "mask_analytic"
 
-    def __init__(self, op: MaskOperator):
+    def __init__(self, op: MaskOperator, **cg):
         if not isinstance(op, MaskOperator):
             raise ParameterError("mask_analytic engine requires a mask operator")
-        super().__init__(op, np.ones(op.m))
+        super().__init__(op, np.ones(op.m), **cg)
 
     def _filter(self, y, fhat, phi, psi) -> np.ndarray:
         keep = self.op.keep
@@ -224,10 +251,10 @@ class SpectralEngine(PinvEngine):
 
     method = "spectral_fft"
 
-    def __init__(self, op: CircularBlurOperator, rcond: float = DEFAULT_RCOND):
+    def __init__(self, op: CircularBlurOperator, rcond: float = DEFAULT_RCOND, **cg):
         if not isinstance(op, CircularBlurOperator):
             raise ParameterError("spectral_fft engine requires a circular blur operator")
-        super().__init__(op, np.conj(op.transfer), rcond)
+        super().__init__(op, np.conj(op.transfer), rcond, **cg)
 
     def _filter(self, y, fhat, phi, psi) -> np.ndarray:
         if fhat is None:
@@ -254,31 +281,14 @@ class SpectralEngine(PinvEngine):
 class CgEngine(PinvEngine):
     """Matrix-free minimum-norm solution via CG on A A^T z = y.
 
-    Assumes full row rank (A A^T nonsingular); rank-deficient operators
-    should use the dense SVD engine instead.
+    Assumes full row rank (A A^T nonsingular) for A+ and the projectors;
+    rank-deficient operators should use the dense SVD engine instead.
     """
 
     method = "cg_minimum_norm"
 
-    def __init__(
-        self,
-        op: SensingOperator,
-        cg_tol: float = DEFAULT_CG_TOL,
-        cg_max_iter: Optional[int] = None,
-    ):
-        self.op = op
-        self.cg_tol = float(cg_tol)
-        self.cg_max_iter = (
-            int(cg_max_iter) if cg_max_iter is not None else 10 * min(op.m, op.n)
-        )
-
-    def _gram_apply(self, z: np.ndarray) -> np.ndarray:
-        return self.op.apply(self.op.adjoint(z))
-
     def pinv_apply(self, y) -> np.ndarray:
-        y = self.op._check_measurement(y)
-        z = conjugate_gradient(self._gram_apply, y, self.cg_tol, self.cg_max_iter)
-        return self.op.adjoint(z)
+        return self.dual_solve(self.op._check_measurement(y))
 
     def range_projector_apply(self, v) -> np.ndarray:
         return self.pinv_apply(self.op.apply(self.op._check_signal(v)))
@@ -287,8 +297,10 @@ class CgEngine(PinvEngine):
         v = self.op._check_signal(v)
         return v - self.range_projector_apply(v)
 
-    def regularized_solve(self, y, fhat, weight: float) -> None:
-        return None
+    def regularized_solve(self, y, fhat, weight: float) -> np.ndarray:
+        y = self.op._check_measurement(y)
+        fhat = self.op._check_signal(fhat)
+        return fhat + self.dual_solve(y - self.op.apply(fhat), lambda z: z / weight)
 
 
 _DEFAULT_METHODS = {
@@ -313,12 +325,13 @@ def make_engine(
     """
     if method == "auto":
         method = _DEFAULT_METHODS.get(op.kind, "svd_dense")
+    cg = {"cg_tol": cg_tol, "cg_max_iter": cg_max_iter}
     if method == "svd_dense":
-        return SvdEngine(op, rcond=rcond)
+        return SvdEngine(op, rcond=rcond, **cg)
     if method == "mask_analytic":
-        return MaskEngine(op)
+        return MaskEngine(op, **cg)
     if method == "spectral_fft":
-        return SpectralEngine(op, rcond=rcond)
+        return SpectralEngine(op, rcond=rcond, **cg)
     if method == "cg_minimum_norm":
-        return CgEngine(op, cg_tol=cg_tol, cg_max_iter=cg_max_iter)
+        return CgEngine(op, **cg)
     raise UnsupportedConfigError(f"unknown pseudoinverse method {method!r}")

@@ -21,7 +21,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import cho_factor  # noqa: F401 -- perfbench/spans.py wraps it by name
 
-from .correction import CorrectionConfig, regularized_correction
 from .errors import (
     DivergenceError,
     MissingOutputError,
@@ -125,9 +124,9 @@ class PinvReconstructor(Reconstructor):
 class TikhonovReconstructor(Reconstructor):
     """x = (A^T A + alpha I)^-1 A^T y.
 
-    This is the regularized correction of ``fhat = 0`` with weight
-    ``1 / alpha`` and no noise model, so it uses the engine's closed-form
-    filter where the engine has one and conjugate gradient otherwise.
+    This is the engine's regularized solve from ``fhat = 0`` with weight
+    ``1 / alpha``: a closed-form spectral filter on a decomposition engine,
+    A^T z with (A A^T + alpha I) z = y by conjugate gradient on the CG one.
     """
 
     kind = "tikhonov"
@@ -137,12 +136,11 @@ class TikhonovReconstructor(Reconstructor):
             raise ParameterError(f"tikhonov alpha must be > 0, got {alpha}")
         self.engine = engine
         self.alpha = float(alpha)
-        self._config = CorrectionConfig(mode="regularized", lam=1.0 / self.alpha)
 
     def reconstruct(self, y, image_id=None) -> np.ndarray:
         y = as_vector(y, self.engine.op.m, "measurement")
         zero = np.zeros((self.engine.op.n,) + y.shape[1:])
-        return regularized_correction(self.engine, y, zero, self._config)
+        return self.engine.regularized_solve(y, zero, 1.0 / self.alpha)
 
 
 class LearnedLinearReconstructor(Reconstructor):

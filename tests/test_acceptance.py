@@ -137,8 +137,8 @@ def test_criterion_06_regularized_closed_form():
             np.linalg.norm(fhat) + np.linalg.norm(y) + 1.0
         )
         via_cg = regularized_correction(
-            make_engine(op, method="cg_minimum_norm"), y, fhat,
-            CorrectionConfig(mode="regularized", lam=lam, noise=noise, cg_tol=1e-13),
+            make_engine(op, method="cg_minimum_norm", cg_tol=1e-13), y, fhat,
+            CorrectionConfig(mode="regularized", lam=lam, noise=noise),
         )
         assert np.linalg.norm(direct - via_cg) <= 1e-8 * max(np.linalg.norm(direct), 1.0)
         zero = regularized_correction(

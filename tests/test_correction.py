@@ -14,6 +14,7 @@ from projcorr import (
     MaskOperator,
     NoiseModel,
     ParameterError,
+    conjugate_gradient,
     correct,
     exact_correction,
     lambda_grid_search,
@@ -132,14 +133,62 @@ class TestRegularizedCorrection:
             engine, y, fhat, CorrectionConfig(mode="regularized", lam=lam, noise=noise)
         )
         via_cg = regularized_correction(
-            make_engine(op, method="cg_minimum_norm"), y, fhat,
-            CorrectionConfig(mode="regularized", lam=lam, noise=noise, cg_tol=1e-12),
+            make_engine(op, method="cg_minimum_norm", cg_tol=1e-12), y, fhat,
+            CorrectionConfig(mode="regularized", lam=lam, noise=noise),
         )
         assert np.linalg.norm(direct - via_cg) <= 1e-8 * max(np.linalg.norm(direct), 1.0)
         residual = (direct - fhat) + lam * a.T @ noise.inv_apply(a @ direct - y)
         assert np.linalg.norm(residual) <= 1e-8 * (
             np.linalg.norm(fhat) + np.linalg.norm(y) + 1.0
         )
+
+    @pytest.mark.parametrize("op, noise_builder", [
+        (make_inpainting_mask(Geometry(6, 5, 2), 0.5, seed=4),
+         lambda rng, m: NoiseModel.diagonal(rng.uniform(0.05, 0.2, m))),
+        (make_gaussian_blur(Geometry(8, 6, 1), (1.5, 0.7), 2.0),
+         lambda rng, m: NoiseModel.dense(_random_spd(rng, m) / (10 * m))),
+    ], ids=["mask_diagonal", "blur_dense"])
+    def test_dual_solve_matches_dense_solve(self, rng, op, noise_builder):
+        engine = make_engine(op, cg_tol=1e-13)
+        a = op.to_dense()
+        noise = noise_builder(rng, op.m)
+        s = noise.covariance if noise.form == "dense" else np.diag(noise.variances)
+        y = rng.standard_normal(engine.op.m)
+        fhat = rng.standard_normal(engine.op.n)
+        lam = 0.5
+        out = regularized_correction(
+            engine, y, fhat, CorrectionConfig(mode="regularized", lam=lam, noise=noise)
+        )
+        weighted = lam * a.T @ np.linalg.inv(s)
+        ref = np.linalg.solve(np.eye(engine.op.n) + weighted @ a, fhat + weighted @ y)
+        assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("method", ["svd_dense", "cg_minimum_norm"])
+    @pytest.mark.parametrize("noise_builder", [
+        lambda rng, m: NoiseModel.diagonal(rng.uniform(0.05, 0.2, m)),
+        lambda rng, m: NoiseModel.dense(_random_spd(rng, m) / (10 * m)),
+    ], ids=["diagonal", "dense"])
+    def test_covariance_is_applied_never_inverted(self, rng, monkeypatch, method,
+                                                  noise_builder):
+        def forbidden(*args):
+            raise AssertionError("the correction inverted the noise covariance")
+
+        rows = []
+
+        def spy(matvec, b, tol, max_iter):
+            rows.append(b.shape[0])
+            return conjugate_gradient(matvec, b, tol, max_iter)
+
+        engine = make_engine(DenseOperator(rng.standard_normal((5, 9))), method=method)
+        noise = noise_builder(rng, 5)
+        monkeypatch.setattr(NoiseModel, "inv_apply", forbidden)
+        monkeypatch.setattr("projcorr.noise.cho_solve", forbidden)
+        monkeypatch.setattr("projcorr.pinv.conjugate_gradient", spy)
+        config = CorrectionConfig(mode="regularized", lam=0.1, noise=noise)
+        regularized_correction(
+            engine, rng.standard_normal((5, 3)), rng.standard_normal((9, 3)), config
+        )
+        assert rows == [5]
 
     def test_large_lambda_approaches_exact_projection(self, full_row_rank_factory, rng):
         op = full_row_rank_factory(2, 4)
@@ -197,20 +246,19 @@ class TestRegularizedCorrection:
             regularized_correction(engine, [1.0, 2.0], [0.0, 0.0, 0.0], good)
 
     def test_dense_noise_on_streamed_operator(self, rng):
-        # the CG path applies A, A^T and S^-1 only, so a streamed operator
+        # the CG path applies A, A^T and S only, so a streamed operator
         # gives the same dense-noise correction as its materialized twin
         streamed = make_random_projection(32, 8, seed=1, materialize_limit=0)
         dense = make_random_projection(32, 8, seed=1)
         config = CorrectionConfig(
             mode="regularized", lam=0.1, noise=NoiseModel.dense(_random_spd(rng, 8)),
-            cg_tol=1e-12,
         )
         y = rng.standard_normal(8)
         fhat = rng.standard_normal(32)
         out_stream = regularized_correction(
-            make_engine(streamed, method="cg_minimum_norm"), y, fhat, config
+            make_engine(streamed, method="cg_minimum_norm", cg_tol=1e-12), y, fhat, config
         )
-        out_dense = regularized_correction(make_engine(dense), y, fhat, config)
+        out_dense = regularized_correction(make_engine(dense, cg_tol=1e-12), y, fhat, config)
         assert np.linalg.norm(out_stream - out_dense) <= 1e-8
 
     def test_matrix_free_cg_path_on_streamed_operator(self, rng):
@@ -220,8 +268,8 @@ class TestRegularizedCorrection:
         y = rng.standard_normal(8)
         fhat = rng.standard_normal(32)
         out_stream = regularized_correction(
-            make_engine(streamed, method="cg_minimum_norm"), y, fhat,
-            CorrectionConfig(mode="regularized", lam=0.02, noise=noise, cg_tol=1e-12),
+            make_engine(streamed, method="cg_minimum_norm", cg_tol=1e-12), y, fhat,
+            CorrectionConfig(mode="regularized", lam=0.02, noise=noise),
         )
         out_direct = regularized_correction(
             make_engine(dense, method="cg_minimum_norm"), y, fhat,
@@ -258,7 +306,7 @@ class TestClosedFormFilter:
         def no_cg(*args):
             raise AssertionError("closed-form engine fell back to conjugate gradient")
 
-        monkeypatch.setattr("projcorr.correction._regularized_cg", no_cg)
+        monkeypatch.setattr("projcorr.pinv.conjugate_gradient", no_cg)
         engine = build(rng)
         a = engine.op.to_dense()
         y = rng.standard_normal(engine.op.m)

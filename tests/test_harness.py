@@ -10,8 +10,10 @@ import pytest
 from projcorr import ParameterError, make_engine, make_oracle_reconstructor
 from projcorr.cli import main as cli_main
 from projcorr.config import (
+    CorrectionSpec,
     ExperimentConfig,
     OperatorSpec,
+    build_engine,
     build_operator,
 )
 from projcorr.experiments import (
@@ -89,6 +91,23 @@ class TestConfig:
         write_nit1(path, matrix)
         dense = build_operator(OperatorSpec(kind="dense", matrix_path=str(path)))
         assert dense.kind == "dense" and dense.m == 3
+
+    def test_build_engine_hands_cg_settings_to_every_engine(self):
+        correction = CorrectionSpec.from_dict({"cg_tol": 1e-13, "cg_max_iter": 7})
+        specs = [
+            OperatorSpec(kind="inpainting_mask", height=8, width=8),
+            OperatorSpec(kind="gaussian_blur", height=8, width=8, sigmas=[1.0, 0.5],
+                         truncation=2.0),
+            OperatorSpec(kind="random_projection", n=64, m=16, seed=1),
+            OperatorSpec(kind="random_projection", n=64, m=16, seed=1,
+                         pinv_method="svd_dense"),
+        ]
+        methods = set()
+        for spec in specs:
+            engine = build_engine(build_operator(spec), spec, correction)
+            methods.add(engine.method)
+            assert (engine.cg_tol, engine.cg_max_iter) == (1e-13, 7), engine.method
+        assert methods == {"mask_analytic", "spectral_fft", "cg_minimum_norm", "svd_dense"}
 
     def test_build_operator_missing_params(self):
         with pytest.raises(ParameterError):

@@ -34,7 +34,7 @@ def materialize_engine_pinv(engine):
     return cols
 
 
-def _engine_zoo(rng):
+def _engine_zoo(rng, **cg):
     g = Geometry(8, 8, 1)
     dense = DenseOperator(rng.standard_normal((5, 9)))
     rank_deficient = DenseOperator(rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9)))
@@ -43,12 +43,12 @@ def _engine_zoo(rng):
     color_blur = make_gaussian_blur(Geometry(8, 8, 3), (1.2, 0.7), truncation=2.0)
     spi = make_random_projection(32, 8, seed=2)
     return [
-        make_engine(dense),
-        make_engine(rank_deficient),
-        make_engine(mask),
-        make_engine(blur),
-        make_engine(color_blur),
-        make_engine(spi, method="cg_minimum_norm"),
+        make_engine(dense, **cg),
+        make_engine(rank_deficient, **cg),
+        make_engine(mask, **cg),
+        make_engine(blur, **cg),
+        make_engine(color_blur, **cg),
+        make_engine(spi, method="cg_minimum_norm", **cg),
     ]
 
 
@@ -230,6 +230,15 @@ class TestTruncationAndErrors:
         assert err.value.residual > 0
         assert err.value.iterations == 1
 
+    def test_cg_regularized_solve_on_rank_deficient_operator(self, rng):
+        # A A^T is singular, but the shifted dual system A A^T + I / w is not
+        op = DenseOperator(rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9)))
+        y = rng.standard_normal(6)
+        fhat = rng.standard_normal(9)
+        ref = SvdEngine(op).regularized_solve(y, fhat, 3.0)
+        out = CgEngine(op, cg_tol=1e-13).regularized_solve(y, fhat, 3.0)
+        assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
     def test_cg_dimension_mismatch(self, rng):
         engine = CgEngine(DenseOperator(rng.standard_normal((3, 5))))
         with pytest.raises(Exception):
@@ -383,7 +392,7 @@ def _block_operations(rng, m):
         "exact_correction": ("yx", exact_correction),
     }
     for name, noise in noises.items():
-        config = CorrectionConfig(mode="regularized", lam=0.05, noise=noise, cg_tol=1e-13)
+        config = CorrectionConfig(mode="regularized", lam=0.05, noise=noise)
         ops[f"regularized_correction[{name}]"] = (
             "yx", lambda e, y, x, config=config: regularized_correction(e, y, x, config)
         )
@@ -395,7 +404,8 @@ def test_block_equals_column_stack(index, rng):
     # every layer maps an (n, N) block column by column; the mask and the
     # blur filter elementwise, so their blocks match bit for bit
     streamed = make_random_projection(32, 8, seed=2, materialize_limit=0)
-    engine = (_engine_zoo(rng) + [make_engine(streamed)])[index]
+    engines = _engine_zoo(rng, cg_tol=1e-13) + [make_engine(streamed, cg_tol=1e-13)]
+    engine = engines[index]
     assert engine.op.materializable() != (BLOCK_ENGINES[index] == "cg_streamed")
     bitwise = isinstance(engine, (MaskEngine, SpectralEngine))
     blocks = {
@@ -406,9 +416,6 @@ def test_block_equals_column_stack(index, rng):
         inputs = [blocks[a] for a in args]
         block = operation(engine, *inputs)
         columns = [operation(engine, *(b[:, j] for b in inputs)) for j in range(3)]
-        if block is None:  # the CG engine has no closed-form solve
-            assert all(c is None for c in columns), name
-            continue
         stacked = np.stack(columns, axis=1)
         assert block.shape == stacked.shape, name
         if bitwise:
