@@ -68,6 +68,7 @@ from .reconstructors import (
     TikhonovReconstructor,
     TrainingHistory,
     fit_learned_linear,
+    gradient_descent,
     gradient_lipschitz,
     make_dataset,
     make_oracle_reconstructor,

@@ -43,9 +43,9 @@ from .reconstructors import (
     Reconstructor,
     TikhonovReconstructor,
     fit_learned_linear,
+    gradient_descent,
     make_dataset,
     measure_pairs,
-    train_epochs,
 )
 from .rng import derive_seed, stream
 from .tensorio import read_nit1, read_pgm, write_nit1
@@ -240,11 +240,12 @@ def _build_reconstructor(
             train_set = make_dataset(op, signals, noise_sigma=sigma, seed=config.base_seed)
         if kind == "learned_linear":
             return fit_learned_linear(op, train_set, alpha=spec.alpha)
-        history = train_epochs(
+        for model, _, _ in gradient_descent(
             op, train_set, spec.epochs, learning_rate=spec.learning_rate,
             seed=config.base_seed,
-        )
-        return history.final
+        ):
+            pass
+        return model
     raise ParameterError(f"unknown reconstructor kind {kind!r}")
 
 
@@ -264,23 +265,17 @@ def run_reconstruct(config: ExperimentConfig) -> dict:
     return {"count": len(ids), "output_dir": str(out)}
 
 
-def _metrics_row(experiment: str, dataset: str, record) -> List[str]:
-    return [
-        experiment,
-        dataset,
-        record.image_id,
-        record.method,
-        format_metric(record.lam),
-        format_metric(record.psnr),
-        format_metric(record.ssim),
-        format_metric(record.mse),
-        format_metric(record.nullspace_consistency),
-        format_metric(record.range_residual),
+def _write_metrics(out: Path, experiment: str, dataset: str, records) -> str:
+    """``out/metrics.csv``, one row per record, sorted by image, method and lambda."""
+    rows = [
+        [experiment, dataset, r.image_id, r.method]
+        + [format_metric(v) for v in (r.lam, r.psnr, r.ssim, r.mse,
+                                      r.nullspace_consistency, r.range_residual)]
+        for r in records
     ]
-
-
-def _sorted_metric_rows(rows: List[List[str]]) -> List[List[str]]:
-    return sorted(rows, key=lambda r: (r[1], r[2], r[3], r[4]))
+    csv_path = out / "metrics.csv"
+    _write_csv(csv_path, METRICS_COLUMNS, sorted(rows, key=lambda row: row[1:5]))
+    return str(csv_path)
 
 
 def run_correct(config: ExperimentConfig) -> dict:
@@ -317,11 +312,8 @@ def run_correct(config: ExperimentConfig) -> dict:
     net = evaluate_reconstruction(engine, x, y, fhat, ids, "network", None)
     proj = evaluate_reconstruction(engine, x, y, corrected, ids, "projected", lam)
     records = [record for pair in zip(net, proj) for record in pair]
-    rows = [_metrics_row("correct", manifest["dataset_name"], r) for r in records]
-
-    csv_path = out / "metrics.csv"
-    _write_csv(csv_path, METRICS_COLUMNS, _sorted_metric_rows(rows))
-    return {"csv": str(csv_path), "records": records}
+    csv_path = _write_metrics(out, "correct", manifest["dataset_name"], records)
+    return {"csv": csv_path, "records": records}
 
 
 def run_evaluate(config: ExperimentConfig) -> dict:
@@ -347,11 +339,8 @@ def run_evaluate(config: ExperimentConfig) -> dict:
         engine, _read_columns(base_dir, entries, "truth"), y, source(y, image_id=ids),
         ids, config.reconstructor.kind, None,
     )
-    rows = [_metrics_row("evaluate", manifest["dataset_name"], r) for r in records]
-
-    csv_path = out / "metrics.csv"
-    _write_csv(csv_path, METRICS_COLUMNS, _sorted_metric_rows(rows))
-    return {"csv": str(csv_path), "records": records}
+    csv_path = _write_metrics(out, "evaluate", manifest["dataset_name"], records)
+    return {"csv": csv_path, "records": records}
 
 
 def _split_datasets(
@@ -383,19 +372,15 @@ def _split_datasets(
 
 
 def run_train_dynamics(config: ExperimentConfig) -> dict:
-    """Track raw vs corrected error and consistency across training epochs."""
+    """Track raw vs corrected error and consistency across training epochs.
+
+    Each epoch is evaluated as ``gradient_descent`` yields it, so memory does
+    not grow with the epoch count; the train split reuses the yielded outputs.
+    """
     op = build_operator(config.operator)
     engine = build_engine(op, config.operator, config.correction)
     sigma = config.noise.sigma_or(0.0)
     train_set, test_set = _split_datasets(config, op, sigma)
-
-    history = train_epochs(
-        op,
-        train_set,
-        config.reconstructor.epochs,
-        learning_rate=config.reconstructor.learning_rate,
-        seed=config.base_seed,
-    )
 
     def split_state(dataset: Dataset) -> dict:
         y = dataset.measurement_matrix()
@@ -406,11 +391,14 @@ def run_train_dynamics(config: ExperimentConfig) -> dict:
     splits = {"train": split_state(train_set), "test": split_state(test_set)}
     rows = []
     epoch_rows = []
-    for epoch, model in enumerate(history.snapshots):
+    spec = config.reconstructor
+    descent = gradient_descent(op, train_set, spec.epochs,
+                               learning_rate=spec.learning_rate, seed=config.base_seed)
+    for epoch, (model, train_outputs, _) in enumerate(descent):
         stats = {"epoch": epoch}
         for name, state in splits.items():
             # mse of two blocks is the mean of the per-image MSEs
-            fhat = model(state["y"])
+            fhat = train_outputs if name == "train" else model(state["y"])
             projected = state["pinv_y"] + engine.nullspace_projector_apply(fhat)
             r = op.apply(fhat) - state["a_pinv_y"]
             stats[f"{name}_mse_net"] = mse(fhat, state["x"])
@@ -426,7 +414,7 @@ def run_train_dynamics(config: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "train_dynamics.csv"
     _write_csv(csv_path, TRAIN_DYNAMICS_COLUMNS, rows)
-    return {"csv": str(csv_path), "epochs": epoch_rows, "history": history}
+    return {"csv": str(csv_path), "epochs": epoch_rows}
 
 
 def run_sweep_lambda(config: ExperimentConfig) -> dict:

@@ -5,18 +5,18 @@ vector to one estimate, or an ``(m, N)`` block of measurements to an
 ``(n, N)`` block of estimates.  Analytic baselines
 (adjoint, pseudoinverse, Tikhonov-regularized inverse) need no data; the
 affine reconstructors stand in for trained networks at desk scale and come in
-two flavours: closed-form ridge fit and full-batch gradient descent with
-per-epoch snapshots.  ``ExternalReconstructor`` replays outputs stored in
-tensor files so reconstructions produced by real networks elsewhere can be
-plugged into the correction and evaluation pipeline; it reads one file per
-image id, and a block needs one id per column.
+two flavours: closed-form ridge fit and full-batch gradient descent, which
+yields each epoch as it runs.  ``ExternalReconstructor`` replays outputs
+stored in tensor files so reconstructions produced by real networks elsewhere
+can be plugged into the correction and evaluation pipeline; it reads one file
+per image id, and a block needs one id per column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor  # noqa: F401 -- perfbench/spans.py wraps it by name
@@ -268,26 +268,28 @@ class TrainingHistory:
 
     snapshots: List[LearnedLinearReconstructor]
     train_mse: np.ndarray
-    learning_rate: float
 
     @property
     def final(self) -> LearnedLinearReconstructor:
         return self.snapshots[-1]
 
 
-def train_epochs(
+def gradient_descent(
     op: SensingOperator,
     dataset: Dataset,
     epochs: int,
     learning_rate: Optional[float] = None,
     seed: int = 0,
     divergence_limit: float = 1e12,
-) -> TrainingHistory:
+) -> Iterator[Tuple[LearnedLinearReconstructor, np.ndarray, float]]:
     """Full-batch gradient descent on the empirical squared-error objective.
 
+    Yields ``(reconstructor, outputs, train_mse)`` for epochs 0 through
+    ``epochs``: the affine map, its training outputs ``W Y + b``, formed once
+    per epoch and also giving the gradient, and their per-element MSE.
     Initialization is the scaled adjoint W = A^T / ||A||^2, b = 0.  When
     ``learning_rate`` is None it defaults to 1/L with L from
-    ``gradient_lipschitz``, which makes the recorded loss non-increasing.
+    ``gradient_lipschitz``, which makes the loss non-increasing.
     """
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
@@ -308,27 +310,35 @@ def train_epochs(
     norm = operator_norm(op, seed=seed)
     weights = op.to_dense().T / max(norm * norm, np.finfo(float).tiny)
     bias = np.zeros(op.n)
+    for epoch in range(epochs + 1):
+        outputs = weights @ y_mat + bias[:, None]
+        r = outputs - x_mat
+        # per-element MSE, consistent with the metrics module
+        value = float(np.mean(np.sum(r * r, axis=0))) / op.n
+        if epoch > 0 and (not np.isfinite(value) or value > divergence_limit):
+            raise DivergenceError(epoch, value)
+        # every epoch makes new arrays, so a yielded model never changes afterwards
+        yield LearnedLinearReconstructor(weights, bias, op), outputs, value
+        if epoch < epochs:
+            grad_w = (2.0 / n_samples) * (r @ y_mat.T)
+            grad_b = (2.0 / n_samples) * r.sum(axis=1)
+            weights = weights - learning_rate * grad_w
+            bias = bias - learning_rate * grad_b
 
-    def loss(w, b):
-        r = w @ y_mat + b[:, None] - x_mat
-        return float(np.mean(np.sum(r * r, axis=0)))
 
-    # every epoch makes new arrays, so a snapshot never changes afterwards
-    snapshots = [LearnedLinearReconstructor(weights, bias, op)]
-    losses = [loss(weights, bias)]
-    for epoch in range(1, epochs + 1):
-        r = weights @ y_mat + bias[:, None] - x_mat
-        grad_w = (2.0 / n_samples) * (r @ y_mat.T)
-        grad_b = (2.0 / n_samples) * r.sum(axis=1)
-        weights = weights - learning_rate * grad_w
-        bias = bias - learning_rate * grad_b
-        value = loss(weights, bias)
-        if not np.isfinite(value) or value / op.n > divergence_limit:
-            raise DivergenceError(epoch, value / op.n)
-        snapshots.append(LearnedLinearReconstructor(weights, bias, op))
+def train_epochs(
+    op: SensingOperator,
+    dataset: Dataset,
+    epochs: int,
+    learning_rate: Optional[float] = None,
+    seed: int = 0,
+    divergence_limit: float = 1e12,
+) -> TrainingHistory:
+    """Every epoch of ``gradient_descent`` kept; its memory grows with ``epochs``."""
+    snapshots, losses = [], []
+    for model, _, value in gradient_descent(
+        op, dataset, epochs, learning_rate, seed, divergence_limit
+    ):
+        snapshots.append(model)
         losses.append(value)
-    # report per-element MSE, consistent with the metrics module
-    per_element = np.asarray(losses) / op.n
-    return TrainingHistory(
-        snapshots=snapshots, train_mse=per_element, learning_rate=learning_rate
-    )
+    return TrainingHistory(snapshots, np.array(losses))

@@ -2,12 +2,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from projcorr import ParameterError, make_engine, make_oracle_reconstructor
+from projcorr import (
+    LearnedLinearReconstructor,
+    ParameterError,
+    make_engine,
+    make_oracle_reconstructor,
+    train_epochs,
+)
 from projcorr.cli import main as cli_main
 from projcorr.config import (
     CorrectionSpec,
@@ -20,6 +27,7 @@ from projcorr.experiments import (
     METRICS_COLUMNS,
     SWEEP_COLUMNS,
     TRAIN_DYNAMICS_COLUMNS,
+    _split_datasets,
     make_smooth_images,
     run_bench,
     run_correct,
@@ -29,6 +37,7 @@ from projcorr.experiments import (
     run_sweep_lambda,
     run_train_dynamics,
 )
+from projcorr.metrics import mse
 from projcorr.tensorio import read_nit1, write_nit1, write_pgm
 
 
@@ -386,6 +395,74 @@ class TestTrainDynamics:
         a = run_train_dynamics(self.make_config(tmp_path / "a", epochs=4))
         b = run_train_dynamics(self.make_config(tmp_path / "b", epochs=4))
         assert Path(a["csv"]).read_bytes() == Path(b["csv"]).read_bytes()
+
+    @staticmethod
+    def replayed_rows(config):
+        # every epoch's rows recomputed from kept snapshots: each split passed
+        # through the snapshot, A+ y + (I - A+ A) fhat, ||A fhat - A A+ y||^2
+        op = build_operator(config.operator)
+        engine = build_engine(op, config.operator, config.correction)
+        train_set, test_set = _split_datasets(config, op, config.noise.sigma_or(0.0))
+        history = train_epochs(op, train_set, config.reconstructor.epochs,
+                               learning_rate=config.reconstructor.learning_rate,
+                               seed=config.base_seed)
+        rows = []
+        for epoch, model in enumerate(history.snapshots):
+            row = {"epoch": epoch}
+            for name, dataset in (("train", train_set), ("test", test_set)):
+                x, y = dataset.signal_matrix(), dataset.measurement_matrix()
+                fhat = model(y)
+                pinv_y = engine.pinv_apply(y)
+                r = op.apply(fhat) - op.apply(pinv_y)
+                row[f"{name}_mse_net"] = mse(fhat, x)
+                row[f"{name}_mse_projected"] = mse(
+                    pinv_y + engine.nullspace_projector_apply(fhat), x)
+                row[f"nullspace_consistency_{name}"] = float(np.sum(r * r)) / r.shape[1]
+            rows.append({key: row[key] for key in TRAIN_DYNAMICS_COLUMNS})
+        return rows
+
+    @pytest.mark.parametrize("operator", [
+        {"kind": "gaussian_blur", "sigmas": [1.5, 0.8], "truncation": 2.0},
+        {"kind": "inpainting_mask", "keep_probability": 0.5, "seed": 7},
+    ], ids=["blur", "mask"])
+    def test_rows_equal_snapshot_replay(self, tmp_path, operator):
+        config = self.make_config(tmp_path / "out", epochs=6, sigma=0.05)
+        config.operator = OperatorSpec.from_dict({"height": 16, "width": 16, **operator})
+        summary = run_train_dynamics(config)
+        assert summary["epochs"] == self.replayed_rows(config)
+
+    def test_memory_does_not_grow_with_epochs(self, tmp_path, monkeypatch):
+        calls = []
+        reconstruct = LearnedLinearReconstructor.reconstruct
+
+        def counted(self, y, image_id=None):
+            calls.append(np.shape(y)[1])
+            return reconstruct(self, y, image_id)
+
+        monkeypatch.setattr(LearnedLinearReconstructor, "reconstruct", counted)
+        config = ExperimentConfig.from_dict({
+            "experiment": "train_dynamics",
+            "operator": {"kind": "gaussian_blur", "height": 32, "width": 32,
+                         "sigmas": [3.0, 0.15]},
+            "reconstructor": {"kind": "trainable_linear"},
+            "dataset": {"count": 8, "test_count": 4, "seed": 5},
+            "base_seed": 21,
+        })
+        peaks = {}
+        for epochs in (3, 30):
+            calls.clear()
+            config.reconstructor.epochs = epochs
+            config.output_dir = str(tmp_path / f"e{epochs}")
+            tracemalloc.start()
+            try:
+                run_train_dynamics(config)
+                peaks[epochs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the train split's outputs come from the descent step itself
+            assert calls == [4] * (epochs + 1)
+        one_weight_matrix = 1024 * 1024 * 8
+        assert peaks[30] - peaks[3] < one_weight_matrix, peaks
 
 
 class TestSweepLambda:

@@ -16,6 +16,7 @@ from projcorr import (
     TikhonovReconstructor,
     exact_correction,
     fit_learned_linear,
+    gradient_descent,
     gradient_lipschitz,
     make_dataset,
     make_engine,
@@ -242,10 +243,24 @@ class TestTrainEpochs:
         op = DenseOperator(rng.standard_normal((3, 6)))
         dataset = make_dataset(op, [rng.standard_normal(6) for _ in range(8)])
         history = train_epochs(op, dataset, epochs=3)
-        final = history.final
-        assert training_loss(final.weights, final.bias, dataset) == pytest.approx(
-            history.train_mse[-1]
-        )
+        for snapshot, loss in zip(history.snapshots, history.train_mse, strict=True):
+            assert training_loss(snapshot.weights, snapshot.bias, dataset) == pytest.approx(
+                loss, rel=1e-12
+            )
+
+    def test_gradient_descent_yields_each_epoch_outputs(self, rng):
+        op = DenseOperator(rng.standard_normal((3, 6)))
+        dataset = make_dataset(op, [rng.standard_normal(6) for _ in range(8)])
+        y = dataset.measurement_matrix()
+        epochs = list(gradient_descent(op, dataset, epochs=4))
+        assert len(epochs) == 5
+        history = train_epochs(op, dataset, epochs=4)
+        for (model, outputs, loss), snapshot, kept in zip(
+            epochs, history.snapshots, history.train_mse
+        ):
+            assert np.array_equal(outputs, model(y))
+            assert np.array_equal(model.weights, snapshot.weights)
+            assert loss == kept
 
 
 class TestOracleReconstructor:
