@@ -71,7 +71,6 @@ from .reconstructors import (
     gradient_descent,
     gradient_lipschitz,
     make_dataset,
-    make_oracle_reconstructor,
     train_epochs,
 )
 

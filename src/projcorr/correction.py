@@ -12,10 +12,10 @@ two corrections are provided:
   for noise covariance S.  By the Woodbury identity it is also
   x* = fhat + A^T z with (A A^T + S / lam) z = y - A fhat, a system in
   measurement space that needs S but not its inverse.  With S = sigma^2 I
-  (or no noise model, S = I) it is the engine's regularized solve with
-  weight lam / sigma^2, a closed-form spectral filter on every engine but
-  the CG one; every other covariance is the engine's ``dual_solve`` of the
-  system above.
+  (or no noise model, S = I) it is the engine's ``solve`` with weight
+  lam / sigma^2, a closed-form spectral filter on every engine but the CG
+  one; every other covariance is the engine's ``dual_solve`` of the system
+  above.  The exact correction is that solve's weight = inf limit.
 
 Both accept one ``(y, fhat)`` pair of vectors or a block of pairs, an
 ``(m, N)`` measurement block with an ``(n, N)`` reconstruction block, and
@@ -84,8 +84,8 @@ def regularized_correction(
 ) -> np.ndarray:
     """Minimizer of ||x - fhat||^2 + lam (A x - y)^T S^-1 (A x - y).
 
-    Uses the engine's regularized solve for S = sigma^2 I and for no noise
-    model, and otherwise fhat + A^T z with (A A^T + S / lam) z = y - A fhat.
+    Uses the engine's ``solve`` for S = sigma^2 I and for no noise model,
+    and otherwise fhat + A^T z with (A A^T + S / lam) z = y - A fhat.
     """
     if config.lam < 0:
         raise ParameterError(f"regularization weight must be >= 0, got {config.lam}")
@@ -96,9 +96,8 @@ def regularized_correction(
         return fhat.copy()
     if noise.form in ("none", "isotropic"):
         weight = config.lam if noise.form == "none" else config.lam / noise.sigma ** 2
-        return engine.regularized_solve(y, fhat, weight)
-    residual = y - engine.op.apply(fhat)
-    return fhat + engine.dual_solve(residual, lambda z: noise.apply(z) / config.lam)
+        return engine.solve(y, fhat, weight)
+    return engine.dual_solve(y, fhat, lambda z: noise.apply(z) / config.lam)
 
 
 def correct(engine: PinvEngine, y, fhat, config: CorrectionConfig) -> np.ndarray:

@@ -44,7 +44,6 @@ from .reconstructors import (
     TikhonovReconstructor,
     fit_learned_linear,
     gradient_descent,
-    make_dataset,
     measure_pairs,
 )
 from .rng import derive_seed, stream
@@ -233,11 +232,7 @@ def _build_reconstructor(
         return ExternalReconstructor(spec.source_dir, pattern=spec.pattern, n=op.n)
     if kind in ("learned_linear", "trainable_linear"):
         if train_set is None:
-            geometry = op.geometry
-            if geometry is None:
-                raise ParameterError("training a reconstructor needs operator geometry")
-            signals = make_smooth_images(geometry, config.dataset.count, config.dataset.seed)
-            train_set = make_dataset(op, signals, noise_sigma=sigma, seed=config.base_seed)
+            train_set = _split_datasets(config, op, sigma)[0]
         if kind == "learned_linear":
             return fit_learned_linear(op, train_set, alpha=spec.alpha)
         for model, _, _ in gradient_descent(

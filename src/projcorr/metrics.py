@@ -169,7 +169,6 @@ def noise_bias_trace(engine: PinvEngine, noise: NoiseModel) -> float:
 
 def monte_carlo_noise_error(
     engine: PinvEngine,
-    op: SensingOperator,
     x,
     noise: NoiseModel,
     trials: int,
@@ -186,10 +185,10 @@ def monte_carlo_noise_error(
     x = engine.op._check_signal(x)
     if noise.form == "none":
         return 0.0
-    draws = noise.sample(generator(seed), op.m, trials)
+    draws = noise.sample(generator(seed), engine.op.m, trials)
     # reconstruction error = A+ n plus the (round-off) residual of projecting x
     base = (
-        engine.pinv_apply(op.apply(x))
+        engine.pinv_apply(engine.op.apply(x))
         + engine.nullspace_projector_apply(x)
         - x
     )

@@ -100,13 +100,12 @@ class SensingOperator(abc.ABC):
     def adjoint(self, u) -> np.ndarray:
         """Return A^T u: length n, or (n, N) for an (m, N) block."""
 
-    def materializable(self, limit: Optional[int] = None) -> bool:
-        limit = self.materialize_limit if limit is None else limit
-        return self.m * self.n <= limit
+    def materializable(self) -> bool:
+        return self.m * self.n <= self.materialize_limit
 
-    def to_dense(self, limit: Optional[int] = None) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Materialize the m x n matrix as A applied to the identity block."""
-        if not self.materializable(limit):
+        if not self.materializable():
             raise ParameterError(
                 f"operator of size {self.m}x{self.n} exceeds its materialization limit"
             )
@@ -136,7 +135,7 @@ class DenseOperator(SensingOperator):
     def adjoint(self, u) -> np.ndarray:
         return self.matrix.T @ self._check_measurement(u)
 
-    def to_dense(self, limit: Optional[int] = None) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         return self.matrix
 
 
@@ -264,10 +263,6 @@ class RandomProjectionOperator(SensingOperator):
             row = rng.standard_normal(self.n)
         return row / math.sqrt(self.m)
 
-    @property
-    def compression_ratio(self) -> float:
-        return self.m / self.n
-
     def apply(self, x) -> np.ndarray:
         x = self._check_signal(x)
         if self._dense is not None:
@@ -284,10 +279,10 @@ class RandomProjectionOperator(SensingOperator):
             z += np.multiply.outer(self._row(r), u[r])
         return z
 
-    def to_dense(self, limit: Optional[int] = None) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         if self._dense is not None:
             return self._dense
-        return super().to_dense(limit)
+        return super().to_dense()
 
 
 def make_inpainting_mask(

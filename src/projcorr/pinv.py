@@ -1,34 +1,37 @@
-"""Pseudoinverse engines: apply A+, the projector A+A, and I - A+A.
+"""Pseudoinverse engines: one solve gives A+, I - A+ A and both corrections.
 
-One engine is bound to one operator.  Every engine but the CG one holds a
-decomposition A = U diag(s) V^H, computed once at construction:
+One engine is bound to one operator and has one numerical operation,
+``solve(y, fhat, weight)``: argmin ||x - fhat||^2 + weight ||A x - y||^2,
+where a None input counts as zero.  Its default weight = inf is the hard
+constraint, A+ y + (I - A+ A) fhat, so ``pinv_apply(y)`` is solve(y, None)
+and ``nullspace_projector_apply(v)`` is solve(None, v); a finite weight is
+Tikhonov (fhat = None) or the regularized correction.  Every engine but
+the CG one holds a decomposition A = U diag(s) V^H, computed once at
+construction:
 
 * ``svd_dense``       -- truncated SVD of the materialized matrix
 * ``mask_analytic``   -- U = I, V = the kept columns of the identity, s = 1
 * ``spectral_fft``    -- U = V = the per-channel DFT, s = conj(transfer) per
                          frequency bin (the multiplier ``apply`` uses)
-* ``cg_minimum_norm`` -- matrix-free: A+ y = A^T z with A A^T z = y
+* ``cg_minimum_norm`` -- matrix-free: ``dual_solve`` below
                          (valid for full-row-rank operators)
 
 A decomposition engine implements one transform, ``_filter``:
 
     fhat + V (phi * U^H y - psi * V^H fhat)
 
-and every operation is a choice of filter factors on its spectrum ``s``.
+and ``solve`` is a choice of filter factors on its spectrum ``s``.
 Directions with |s| <= rcond * max|s| are null directions (not retained).
 
-* ``pinv_apply``                -- phi = 1/s on retained directions, 0 elsewhere
-* ``nullspace_projector_apply`` -- psi = 1 on retained directions
-* ``range_projector_apply``     -- v - (I - A+ A) v
-* ``regularized_solve``         -- argmin ||x - fhat||^2 + w ||A x - y||^2:
-                                   phi = w conj(s) / (1 + w |s|^2) and
-                                   psi = w |s|^2 / (1 + w |s|^2) on every
-                                   direction, so none divides by a small s
+* weight = inf: phi = 1/s and psi = 1 on retained directions, 0 elsewhere
+* finite weight w: phi = w conj(s) / (1 + w |s|^2) and
+  psi = w |s|^2 / (1 + w |s|^2) on every direction, so none divides by a
+  small s
 
-Every solve without a closed form is ``dual_solve``: one conjugate gradient
-for A^T z with (A A^T + shift) z = r, at the engine's ``cg_tol`` and
-``cg_max_iter``.  The CG engine holds no decomposition and runs every
-operation through it.
+Every solve without a closed form is ``dual_solve``: fhat + A^T z with
+(A A^T + shift) z = y - A fhat, one conjugate gradient at the engine's
+``cg_tol`` and ``cg_max_iter``.  The CG engine holds no decomposition and
+its ``solve`` is that system, with shift z / weight.
 
 Every operation takes a flat vector or a column block (one signal or
 measurement per column) and returns the same shape; the filter factors
@@ -39,6 +42,7 @@ for all of them.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,11 +110,11 @@ def conjugate_gradient(
 
 
 class PinvEngine:
-    """A+, both projectors and the regularized solve as filters on ``s``.
+    """One regularized solve, a filter on ``s``, and the operations it gives.
 
     Subclasses hand their spectrum ``s`` to this constructor and implement
-    ``_filter``; ``CgEngine`` has no spectrum and instead overrides the
-    operations it computes.
+    ``_filter``; ``CgEngine`` has no spectrum and instead overrides
+    ``solve``.
     """
 
     method: str = "abstract"
@@ -146,43 +150,48 @@ class PinvEngine:
     def _gram_apply(self, z: np.ndarray) -> np.ndarray:
         return self.op.apply(self.op.adjoint(z))
 
-    def dual_solve(self, r, shift: Optional[Callable] = None) -> np.ndarray:
-        """A^T z with (A A^T + shift) z = r, by conjugate gradient.
+    def solve(self, y, fhat, weight: float = math.inf) -> np.ndarray:
+        """argmin ||x - fhat||^2 + weight ||A x - y||^2, for weight > 0.
 
+        A None input counts as zero.  ``weight = inf`` is the closest point
+        to ``fhat`` among the least-squares solutions of A x = y,
+        A+ y + (I - A+ A) fhat.
+        """
+        y = None if y is None else self.op._check_measurement(y)
+        fhat = None if fhat is None else self.op._check_signal(fhat)
+        if weight == math.inf:
+            return self._filter(y, fhat, self.inverse, self.retained)
+        power = np.abs(self.s) ** 2
+        denom = 1.0 + weight * power
+        return self._filter(y, fhat, weight * np.conj(self.s) / denom, weight * power / denom)
+
+    def dual_solve(self, y, fhat, shift: Optional[Callable] = None) -> np.ndarray:
+        """fhat + A^T z with (A A^T + shift) z = y - A fhat, by conjugate gradient.
+
+        A None input counts as zero; a None ``fhat`` costs no product with A.
         ``shift`` maps z to a symmetric positive semidefinite term; without
         one, A A^T must be nonsingular.
         """
+        r = None if y is None else self.op._check_measurement(y)
+        if fhat is not None:
+            fhat = self.op._check_signal(fhat)
+            product = self.op.apply(fhat)
+            r = -product if r is None else r - product
 
         def matvec(z):
             gram = self._gram_apply(z)
             return gram if shift is None else gram + shift(z)
 
-        return self.op.adjoint(conjugate_gradient(matvec, r, self.cg_tol, self.cg_max_iter))
+        z = self.op.adjoint(conjugate_gradient(matvec, r, self.cg_tol, self.cg_max_iter))
+        return z if fhat is None else fhat + z
 
     def pinv_apply(self, y) -> np.ndarray:
         """Minimum-norm least-squares solution A+ y."""
-        return self._filter(self.op._check_measurement(y), None, self.inverse, None)
+        return self.solve(y, None)
 
     def nullspace_projector_apply(self, v) -> np.ndarray:
         """(I - A+ A) v: v without its components along retained directions."""
-        return self._filter(None, self.op._check_signal(v), None, self.retained)
-
-    def range_projector_apply(self, v) -> np.ndarray:
-        """Orthogonal projection A+ A v onto the row space of A."""
-        v = self.op._check_signal(v)
-        return v - self._filter(None, v, None, self.retained)
-
-    def regularized_solve(self, y, fhat, weight: float) -> np.ndarray:
-        """argmin ||x - fhat||^2 + weight ||A x - y||^2 in closed form."""
-        y = self.op._check_measurement(y)
-        fhat = self.op._check_signal(fhat)
-        power = np.abs(self.s) ** 2
-        denom = 1.0 + weight * power
-        return self._filter(y, fhat, weight * np.conj(self.s) / denom, weight * power / denom)
-
-    def pinv_matrix(self) -> np.ndarray:
-        """Materialized n x m pseudoinverse: A+ applied to the identity block."""
-        return self.pinv_apply(np.eye(self.op.m))
+        return self.solve(None, v)
 
     def __repr__(self):
         return f"<{type(self).__name__} method={self.method} op={self.op!r}>"
@@ -279,28 +288,16 @@ class SpectralEngine(PinvEngine):
 
 
 class CgEngine(PinvEngine):
-    """Matrix-free minimum-norm solution via CG on A A^T z = y.
+    """Matrix-free solves by CG on the dual system (A A^T + I / weight) z = r.
 
-    Assumes full row rank (A A^T nonsingular) for A+ and the projectors;
+    Assumes full row rank (A A^T nonsingular) for ``weight = inf``;
     rank-deficient operators should use the dense SVD engine instead.
     """
 
     method = "cg_minimum_norm"
 
-    def pinv_apply(self, y) -> np.ndarray:
-        return self.dual_solve(self.op._check_measurement(y))
-
-    def range_projector_apply(self, v) -> np.ndarray:
-        return self.pinv_apply(self.op.apply(self.op._check_signal(v)))
-
-    def nullspace_projector_apply(self, v) -> np.ndarray:
-        v = self.op._check_signal(v)
-        return v - self.range_projector_apply(v)
-
-    def regularized_solve(self, y, fhat, weight: float) -> np.ndarray:
-        y = self.op._check_measurement(y)
-        fhat = self.op._check_signal(fhat)
-        return fhat + self.dual_solve(y - self.op.apply(fhat), lambda z: z / weight)
+    def solve(self, y, fhat, weight: float = math.inf) -> np.ndarray:
+        return self.dual_solve(y, fhat, None if weight == math.inf else lambda z: z / weight)
 
 
 _DEFAULT_METHODS = {

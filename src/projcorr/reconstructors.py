@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor  # noqa: F401 -- perfbench/spans.py wraps it by name
@@ -124,7 +124,7 @@ class PinvReconstructor(Reconstructor):
 class TikhonovReconstructor(Reconstructor):
     """x = (A^T A + alpha I)^-1 A^T y.
 
-    This is the engine's regularized solve from ``fhat = 0`` with weight
+    This is the engine's ``solve`` from ``fhat = 0`` with weight
     ``1 / alpha``: a closed-form spectral filter on a decomposition engine,
     A^T z with (A A^T + alpha I) z = y by conjugate gradient on the CG one.
     """
@@ -139,8 +139,7 @@ class TikhonovReconstructor(Reconstructor):
 
     def reconstruct(self, y, image_id=None) -> np.ndarray:
         y = as_vector(y, self.engine.op.m, "measurement")
-        zero = np.zeros((self.engine.op.n,) + y.shape[1:])
-        return self.engine.regularized_solve(y, zero, 1.0 / self.alpha)
+        return self.engine.solve(y, None, 1.0 / self.alpha)
 
 
 class LearnedLinearReconstructor(Reconstructor):
@@ -193,21 +192,6 @@ class ExternalReconstructor(Reconstructor):
         return out
 
 
-def make_oracle_reconstructor(engine: PinvEngine) -> Callable:
-    """Ideal reconstructor ``oracle(y, x_true)`` used as a test fixture.
-
-    Given the true signal, returns the minimum-norm solution of the
-    measurements plus the true signal's null-space component, i.e. the output
-    an ideally-trained estimator would produce.  Applying the exact correction
-    to this output leaves it unchanged.
-    """
-
-    def oracle(y, x_true) -> np.ndarray:
-        return engine.pinv_apply(y) + engine.nullspace_projector_apply(x_true)
-
-    return oracle
-
-
 def fit_learned_linear(
     op: SensingOperator,
     dataset: Dataset,
@@ -238,14 +222,6 @@ def fit_learned_linear(
     weights = ((xc @ qt.T) * gain) @ p.T
     bias = x_mean - weights @ y_mean
     return LearnedLinearReconstructor(weights, bias, op)
-
-
-def training_loss(weights: np.ndarray, bias: np.ndarray, dataset: Dataset) -> float:
-    """Mean over samples of the per-element squared reconstruction error."""
-    x_mat = dataset.signal_matrix()
-    y_mat = dataset.measurement_matrix()
-    r = weights @ y_mat + bias[:, None] - x_mat
-    return float(np.mean(np.sum(r * r, axis=0))) / x_mat.shape[0]
 
 
 def gradient_lipschitz(dataset: Dataset) -> float:

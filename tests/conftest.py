@@ -26,3 +26,18 @@ def full_row_rank_factory(rng):
         return random_full_row_rank(rng, m, n, min_singular)
 
     return factory
+
+
+def make_oracle_reconstructor(engine):
+    """Ideal reconstructor ``oracle(y, x_true)`` used as a test fixture.
+
+    Given the true signal, returns the minimum-norm solution of the
+    measurements plus the true signal's null-space component, i.e. the output
+    an ideally-trained estimator would produce.  Applying the exact correction
+    to this output leaves it unchanged.
+    """
+
+    def oracle(y, x_true) -> np.ndarray:
+        return engine.pinv_apply(y) + engine.nullspace_projector_apply(x_true)
+
+    return oracle

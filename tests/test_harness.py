@@ -11,8 +11,8 @@ import pytest
 from projcorr import (
     LearnedLinearReconstructor,
     ParameterError,
+    fit_learned_linear,
     make_engine,
-    make_oracle_reconstructor,
     train_epochs,
 )
 from projcorr.cli import main as cli_main
@@ -27,6 +27,7 @@ from projcorr.experiments import (
     METRICS_COLUMNS,
     SWEEP_COLUMNS,
     TRAIN_DYNAMICS_COLUMNS,
+    _build_reconstructor,
     _split_datasets,
     make_smooth_images,
     run_bench,
@@ -39,6 +40,8 @@ from projcorr.experiments import (
 )
 from projcorr.metrics import mse
 from projcorr.tensorio import read_nit1, write_nit1, write_pgm
+
+from conftest import make_oracle_reconstructor
 
 
 def simulate_config(out, sigma=0.0, count=4, kind="inpainting_mask", **op_extra):
@@ -228,6 +231,23 @@ class TestReconstructAndCorrect:
             by_image.setdefault(cells[2], {})[cells[3]] = cells
         for cells in by_image.values():
             assert cells["network"][5] == cells["projected"][5]  # psnr column
+
+    def test_learned_reconstructor_trains_on_configured_blobs(self):
+        # the reconstruct and correct stages train on the same images as
+        # the synthetic experiments, with the configured number of blobs
+        config = ExperimentConfig.from_dict({
+            "operator": {"kind": "inpainting_mask", "height": 16, "width": 16,
+                         "keep_probability": 0.5, "seed": 7},
+            "reconstructor": {"kind": "learned_linear", "alpha": 1e-3},
+            "dataset": {"type": "synthetic", "count": 6, "seed": 3, "blobs": 2},
+            "base_seed": 11,
+        })
+        op = build_operator(config.operator)
+        engine = build_engine(op, config.operator, config.correction)
+        model = _build_reconstructor(config, op, engine, 0.01, "learned_linear")
+        want = fit_learned_linear(op, _split_datasets(config, op, 0.01)[0], alpha=1e-3)
+        assert np.array_equal(model.weights, want.weights)
+        assert np.array_equal(model.bias, want.bias)
 
     def test_corrected_dominates_network_noise_free(self, simulated, tmp_path):
         recon_out = tmp_path / "recons"

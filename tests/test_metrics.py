@@ -231,7 +231,7 @@ class TestNoiseBiasTrace:
         engine = make_engine(op)
         noise = NoiseModel.isotropic(0.1)
         trace = noise_bias_trace(engine, noise)
-        estimate = monte_carlo_noise_error(engine, op, rng.standard_normal(6), noise,
+        estimate = monte_carlo_noise_error(engine, rng.standard_normal(6), noise,
                                            trials=100_000, seed=99)
         assert abs(estimate - trace) <= 0.05 * trace
 
@@ -287,7 +287,7 @@ class TestMonteCarloNoiseError:
         op = DenseOperator(rng.standard_normal((3, 5)))
         engine = make_engine(op)
         assert monte_carlo_noise_error(
-            engine, op, rng.standard_normal(5), NoiseModel.none(), trials=10, seed=0
+            engine, rng.standard_normal(5), NoiseModel.none(), trials=10, seed=0
         ) == 0.0
 
     def test_single_trial_self_consistent(self, rng):
@@ -295,7 +295,7 @@ class TestMonteCarloNoiseError:
         engine = make_engine(op)
         noise = NoiseModel.isotropic(0.2)
         x = rng.standard_normal(5)
-        value = monte_carlo_noise_error(engine, op, x, noise, trials=1, seed=31)
+        value = monte_carlo_noise_error(engine, x, noise, trials=1, seed=31)
         draw = noise.sample(generator(31), 3, 1)[:, 0]
         expected = float(np.linalg.norm(np.linalg.pinv(op.matrix) @ draw) ** 2)
         assert value == pytest.approx(expected, rel=1e-9)
@@ -307,7 +307,7 @@ class TestMonteCarloNoiseError:
         noise = NoiseModel.isotropic(0.3)
         x = rng.standard_normal(24)
         values = [
-            monte_carlo_noise_error(make_engine(op), op, x, noise, trials=40, seed=12)
+            monte_carlo_noise_error(make_engine(op), x, noise, trials=40, seed=12)
             for op in (streamed, dense)
         ]
         assert values[0] == pytest.approx(values[1], rel=1e-10)
@@ -316,7 +316,7 @@ class TestMonteCarloNoiseError:
         op = DenseOperator(rng.standard_normal((2, 3)))
         engine = make_engine(op)
         with pytest.raises(ParameterError):
-            monte_carlo_noise_error(engine, op, np.zeros(3), NoiseModel.none(), 0, 0)
+            monte_carlo_noise_error(engine, np.zeros(3), NoiseModel.none(), 0, 0)
 
 
 class TestFormatting:

@@ -34,6 +34,11 @@ def materialize_engine_pinv(engine):
     return cols
 
 
+def range_projector(engine, v):
+    """A+ A v: the orthogonal projection onto the row space of A."""
+    return engine.pinv_apply(engine.op.apply(v))
+
+
 def _engine_zoo(rng, **cg):
     g = Geometry(8, 8, 1)
     dense = DenseOperator(rng.standard_normal((5, 9)))
@@ -89,7 +94,7 @@ class TestPinvApplyExamples:
 class TestProjectors:
     def test_mask_range_projector(self):
         engine = make_engine(MaskOperator(2, [0]))
-        assert np.array_equal(engine.range_projector_apply([5.0, 7.0]), [5.0, 0.0])
+        assert np.array_equal(range_projector(engine, [5.0, 7.0]), [5.0, 0.0])
 
     def test_mask_null_projector(self):
         engine = make_engine(MaskOperator(2, [0]))
@@ -99,7 +104,7 @@ class TestProjectors:
         op = DenseOperator(rng.standard_normal((3, 6)))
         engine = make_engine(op)
         v = op.adjoint(rng.standard_normal(3))
-        assert np.linalg.norm(engine.range_projector_apply(v) - v) <= 1e-9 * np.linalg.norm(v)
+        assert np.linalg.norm(range_projector(engine, v) - v) <= 1e-9 * np.linalg.norm(v)
         assert np.linalg.norm(engine.nullspace_projector_apply(v)) <= 1e-9 * np.linalg.norm(v)
 
     def test_range_projector_matches_pinv_matrix_oracle(self, rng):
@@ -108,7 +113,7 @@ class TestProjectors:
         proj = np.linalg.pinv(a) @ a
         for _ in range(10):
             v = rng.standard_normal(7)
-            assert np.linalg.norm(engine.range_projector_apply(v) - proj @ v) <= 1e-8
+            assert np.linalg.norm(range_projector(engine, v) - proj @ v) <= 1e-8
 
     def test_null_projector_annihilated(self, rng):
         a = rng.standard_normal((4, 7))
@@ -124,9 +129,9 @@ class TestProjectors:
         for engine in engine_zoo:
             for _ in range(5):
                 v = rng.standard_normal(engine.op.n)
-                pr = engine.range_projector_apply(v)
+                pr = range_projector(engine, v)
                 pn = engine.nullspace_projector_apply(v)
-                assert np.linalg.norm(engine.range_projector_apply(pr) - pr) <= 1e-9 * np.linalg.norm(v)
+                assert np.linalg.norm(range_projector(engine, pr) - pr) <= 1e-9 * np.linalg.norm(v)
                 assert np.linalg.norm(engine.nullspace_projector_apply(pn) - pn) <= 1e-9 * np.linalg.norm(v)
                 assert np.linalg.norm(pr + pn - v) <= 1e-10 * (np.linalg.norm(v) + 1.0)
 
@@ -148,7 +153,7 @@ class TestMoorePenroseAxioms:
     def test_pinv_matrix_agrees_with_numpy(self, rng):
         a = rng.standard_normal((4, 6))
         engine = make_engine(DenseOperator(a))
-        assert np.allclose(engine.pinv_matrix(), np.linalg.pinv(a), atol=1e-10)
+        assert np.allclose(engine.pinv_apply(np.eye(4)), np.linalg.pinv(a), atol=1e-10)
 
 
 class TestCrossMethodAgreement:
@@ -235,8 +240,8 @@ class TestTruncationAndErrors:
         op = DenseOperator(rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9)))
         y = rng.standard_normal(6)
         fhat = rng.standard_normal(9)
-        ref = SvdEngine(op).regularized_solve(y, fhat, 3.0)
-        out = CgEngine(op, cg_tol=1e-13).regularized_solve(y, fhat, 3.0)
+        ref = SvdEngine(op).solve(y, fhat, 3.0)
+        out = CgEngine(op, cg_tol=1e-13).solve(y, fhat, 3.0)
         assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_cg_dimension_mismatch(self, rng):
@@ -258,6 +263,64 @@ class TestTruncationAndErrors:
         # dense operator defaults to SVD regardless of shape
         op = DenseOperator(np.random.default_rng(0).standard_normal((6, 3)))
         assert make_engine(op).method == "svd_dense"
+
+
+def _all_engines(rng):
+    """``engine_zoo`` plus a streamed CG engine, every CG at a tight tolerance."""
+    streamed = make_random_projection(32, 8, seed=2, materialize_limit=0)
+    return _engine_zoo(rng, cg_tol=1e-13) + [make_engine(streamed, cg_tol=1e-13)]
+
+
+class TestSolve:
+    def test_finite_weight_matches_dense_oracle(self, rng):
+        # argmin ||x - fhat||^2 + w ||A x - y||^2 solves (I + w A^T A) x = fhat + w A^T y
+        for engine in _all_engines(rng):
+            n, m = engine.op.n, engine.op.m
+            a = engine.op.apply(np.eye(n))
+            y = rng.standard_normal(m)
+            fhat = rng.standard_normal(n)
+            system = np.eye(n) + 3.0 * a.T @ a
+            for y_in, fhat_in in ((y, fhat), (y, None), (None, fhat)):
+                rhs = (0.0 if fhat_in is None else fhat) + (0.0 if y_in is None else 3.0 * a.T @ y)
+                want = np.linalg.solve(system, rhs)
+                got = engine.solve(y_in, fhat_in, 3.0)
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), engine
+
+    def test_none_inputs_give_pinv_and_nullspace_projector(self, rng):
+        for engine in _all_engines(rng):
+            y = rng.standard_normal(engine.op.m)
+            v = rng.standard_normal((engine.op.n, 2))
+            assert np.array_equal(engine.solve(y, None), engine.pinv_apply(y))
+            assert np.array_equal(engine.solve(None, v), engine.nullspace_projector_apply(v))
+
+    def test_cg_nullspace_projector_is_v_minus_pinv_of_av(self, rng):
+        # the dual solve forms -A v itself; CG is odd in its right-hand side,
+        # so this matches v - A+ (A v) bit for bit
+        engines = [engine for engine in _all_engines(rng) if isinstance(engine, CgEngine)]
+        engines.append(CgEngine(DenseOperator(rng.standard_normal((5, 9)))))
+        assert len(engines) == 3
+        for engine in engines:
+            v = rng.standard_normal((engine.op.n, 3))
+            want = v - engine.pinv_apply(engine.op.apply(v))
+            assert np.array_equal(engine.solve(None, v), want)
+
+    def test_large_weight_approaches_exact_correction(self, rng):
+        # on full row rank, direction i of the step from fhat to the exact
+        # correction is scaled by w s_i^2 / (1 + w s_i^2), so the gap is at
+        # most ||exact - fhat|| / (1 + w s_min^2)
+        checked = 0
+        for engine in _all_engines(rng):
+            s = np.linalg.svd(engine.op.apply(np.eye(engine.op.n)), compute_uv=False)
+            if s[-1] <= 1e-10 * s[0] or s.size < engine.op.m:
+                continue
+            checked += 1
+            y = rng.standard_normal(engine.op.m)
+            fhat = rng.standard_normal(engine.op.n)
+            exact = exact_correction(engine, y, fhat)
+            gap = np.linalg.norm(exact - fhat) / (1.0 + 1e12 * s[-1] ** 2)
+            error = np.linalg.norm(engine.solve(y, fhat, 1e12) - exact)
+            assert error <= gap + 1e-9 * np.linalg.norm(exact), (engine, error, gap)
+        assert checked == 6
 
 
 def test_engine_applies_are_thread_safe(engine_zoo, rng):
@@ -386,9 +449,11 @@ def _block_operations(rng, m):
         "apply": ("x", lambda e, x: e.op.apply(x)),
         "adjoint": ("y", lambda e, y: e.op.adjoint(y)),
         "pinv_apply": ("y", lambda e, y: e.pinv_apply(y)),
-        "range_projector_apply": ("x", lambda e, x: e.range_projector_apply(x)),
         "nullspace_projector_apply": ("x", lambda e, x: e.nullspace_projector_apply(x)),
-        "regularized_solve": ("yx", lambda e, y, x: e.regularized_solve(y, x, 3.0)),
+        "solve[y, None, 3]": ("y", lambda e, y: e.solve(y, None, 3.0)),
+        "solve[None, x, 3]": ("x", lambda e, x: e.solve(None, x, 3.0)),
+        "solve[y, x, 3]": ("yx", lambda e, y, x: e.solve(y, x, 3.0)),
+        "solve[y, x, inf]": ("yx", lambda e, y, x: e.solve(y, x)),
         "exact_correction": ("yx", exact_correction),
     }
     for name, noise in noises.items():
@@ -403,9 +468,7 @@ def _block_operations(rng, m):
 def test_block_equals_column_stack(index, rng):
     # every layer maps an (n, N) block column by column; the mask and the
     # blur filter elementwise, so their blocks match bit for bit
-    streamed = make_random_projection(32, 8, seed=2, materialize_limit=0)
-    engines = _engine_zoo(rng, cg_tol=1e-13) + [make_engine(streamed, cg_tol=1e-13)]
-    engine = engines[index]
+    engine = _all_engines(rng)[index]
     assert engine.op.materializable() != (BLOCK_ENGINES[index] == "cg_streamed")
     bitwise = isinstance(engine, (MaskEngine, SpectralEngine))
     blocks = {

@@ -20,11 +20,12 @@ from projcorr import (
     gradient_lipschitz,
     make_dataset,
     make_engine,
-    make_oracle_reconstructor,
     train_epochs,
 )
-from projcorr.reconstructors import training_loss
 from projcorr.tensorio import write_nit1
+
+from conftest import make_oracle_reconstructor
+from test_pinv import _record_calls
 
 
 def dataset_mse(recon, dataset):
@@ -61,6 +62,17 @@ class TestReconstructKinds:
         y = rng.standard_normal(4)
         ref = np.linalg.solve(a.T @ a + 0.3 * np.eye(7), a.T @ y)
         assert np.linalg.norm(recon(y) - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_tikhonov_on_cg_engine_applies_a_only_in_its_iterations(self, rng):
+        # Tikhonov starts from fhat = 0, so no product A fhat is formed: every
+        # op.apply is the one inside a CG iteration's Gram product
+        op = DenseOperator(rng.standard_normal((6, 11)))
+        engine = make_engine(op, method="cg_minimum_norm")
+        applies = _record_calls(op, "apply")
+        grams = _record_calls(engine, "_gram_apply")
+        TikhonovReconstructor(engine, 0.1)(rng.standard_normal((6, 3)))
+        assert len(grams) > 0
+        assert len(applies) == len(grams)
 
     def test_tikhonov_requires_positive_alpha(self, rng):
         engine = make_engine(DenseOperator(rng.standard_normal((2, 3))))
@@ -243,8 +255,12 @@ class TestTrainEpochs:
         op = DenseOperator(rng.standard_normal((3, 6)))
         dataset = make_dataset(op, [rng.standard_normal(6) for _ in range(8)])
         history = train_epochs(op, dataset, epochs=3)
+        x_mat = dataset.signal_matrix()
+        y_mat = dataset.measurement_matrix()
         for snapshot, loss in zip(history.snapshots, history.train_mse, strict=True):
-            assert training_loss(snapshot.weights, snapshot.bias, dataset) == pytest.approx(
+            # mean over samples of the per-element squared reconstruction error
+            r = snapshot.weights @ y_mat + snapshot.bias[:, None] - x_mat
+            assert float(np.mean(np.sum(r * r, axis=0))) / x_mat.shape[0] == pytest.approx(
                 loss, rel=1e-12
             )
 
