@@ -31,11 +31,12 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor  # noqa: F401 -- perfbench/spans.py wraps it by name
 
 from .errors import ParameterError, ShapeError
 from .metrics import mean_quality, ssim_applies
-from .noise import NoiseModel
+# cho_factor is bound here only because perfbench/spans.py rebinds it by name
+# in this module; the import can go once the tracer skips missing names.
+from .noise import NoiseModel, cho_factor  # noqa: F401
 from .operators import as_vector
 from .pinv import PinvEngine
 

@@ -232,7 +232,7 @@ def _build_reconstructor(
         return ExternalReconstructor(spec.source_dir, pattern=spec.pattern, n=op.n)
     if kind in ("learned_linear", "trainable_linear"):
         if train_set is None:
-            train_set = _split_datasets(config, op, sigma)[0]
+            train_set = _draw_split(config, op, sigma, 0, config.dataset.count)
         if kind == "learned_linear":
             return fit_learned_linear(op, train_set, alpha=spec.alpha)
         for model, _, _ in gradient_descent(
@@ -338,6 +338,33 @@ def run_evaluate(config: ExperimentConfig) -> dict:
     return {"csv": csv_path, "records": records}
 
 
+def _draw_split(
+    config: ExperimentConfig,
+    op: SensingOperator,
+    sigma: float,
+    first: int,
+    count: int,
+    block: int = 0,
+    **provenance,
+) -> Dataset:
+    """Images ``first`` to ``first + count - 1`` of sweep block ``block``, measured."""
+    geometry = op.geometry
+    if geometry is None:
+        raise ParameterError("synthetic experiments need operator geometry")
+    ds = config.dataset
+    start = block * STREAM_STRIDE + first
+    streams = range(start, start + count)
+    images = [
+        make_smooth_images(geometry, 1, derive_seed(ds.seed, k), blobs=ds.blobs)[0]
+        for k in streams
+    ]
+    noise_seeds = [derive_seed(config.base_seed, k) for k in streams]
+    return Dataset(
+        pairs=measure_pairs(op, images, sigma, noise_seeds),
+        provenance={"sigma": sigma, "seed": ds.seed, "block": block, **provenance},
+    )
+
+
 def _split_datasets(
     config: ExperimentConfig,
     op: SensingOperator,
@@ -345,25 +372,11 @@ def _split_datasets(
     block: int = 0,
 ) -> tuple:
     """Disjoint train/test image and noise streams for sweep block ``block``."""
-    geometry = op.geometry
-    if geometry is None:
-        raise ParameterError("synthetic experiments need operator geometry")
-    ds = config.dataset
-    offset = block * STREAM_STRIDE
-
-    def split(first: int, count: int, **provenance) -> Dataset:
-        streams = range(offset + first, offset + first + count)
-        images = [
-            make_smooth_images(geometry, 1, derive_seed(ds.seed, k), blobs=ds.blobs)[0]
-            for k in streams
-        ]
-        noise_seeds = [derive_seed(config.base_seed, k) for k in streams]
-        return Dataset(
-            pairs=measure_pairs(op, images, sigma, noise_seeds),
-            provenance={"sigma": sigma, "seed": ds.seed, "block": block, **provenance},
-        )
-
-    return split(0, ds.count), split(ds.count, ds.test_count, split="test")
+    count = config.dataset.count
+    return (
+        _draw_split(config, op, sigma, 0, count, block),
+        _draw_split(config, op, sigma, count, config.dataset.test_count, block, split="test"),
+    )
 
 
 def run_train_dynamics(config: ExperimentConfig) -> dict:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.signal import correlate2d
 
 from .errors import ParameterError, ShapeError, UnsupportedConfigError
 from .noise import NoiseModel
@@ -93,6 +92,10 @@ def ssim(
     no padding: only windows entirely inside the image contribute.  Channels
     are averaged.
     """
+    # the only SciPy use in the package: imported on first call, so that
+    # ``import projcorr`` does not load it
+    from scipy.signal import correlate2d
+
     img_a = _as_image(a, geometry)
     img_b = _as_image(b, geometry)
     if img_a.shape != img_b.shape:

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ParameterError, ShapeError
+
+
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric positive-definite matrix ``a``.
+
+    Raises ``numpy.linalg.LinAlgError`` if ``a`` is not positive definite.
+    """
+    return np.linalg.cholesky(a)
 
 
 @dataclass(frozen=True)
@@ -55,9 +61,13 @@ class NoiseModel:
             raise ParameterError("dense noise covariance must be symmetric")
         c = 0.5 * (c + c.T)
         c.setflags(write=False)
-        model = NoiseModel(form="dense", covariance=c)
-        model._cho  # noqa: B018 -- fail fast if not positive definite
-        return model
+        try:
+            cho_factor(c)
+        except np.linalg.LinAlgError as exc:
+            raise ParameterError(
+                f"dense noise covariance is not positive definite: {exc}"
+            ) from exc
+        return NoiseModel(form="dense", covariance=c)
 
     @staticmethod
     def from_sigma(sigma: float) -> "NoiseModel":
@@ -65,15 +75,6 @@ class NoiseModel:
         if sigma < 0:
             raise ParameterError(f"noise sigma must be >= 0, got {sigma}")
         return NoiseModel.none() if sigma == 0 else NoiseModel.isotropic(sigma)
-
-    @functools.cached_property
-    def _cho(self):
-        try:
-            return cho_factor(self.covariance)
-        except np.linalg.LinAlgError as exc:
-            raise ParameterError(
-                f"dense noise covariance is not positive definite: {exc}"
-            ) from exc
 
     def dim(self) -> Optional[int]:
         if self.form == "diagonal":
@@ -109,7 +110,7 @@ class NoiseModel:
         self.check_dim(u.shape[0])
         if self.form == "diagonal":
             return u / (self.variances[:, None] if u.ndim == 2 else self.variances)
-        return cho_solve(self._cho, u)
+        return np.linalg.solve(self.covariance, u)
 
     def sample(self, rng: np.random.Generator, m: int, trials: int = 1) -> np.ndarray:
         """Draw noise vectors as columns of an (m, trials) array."""

@@ -30,6 +30,10 @@ from .rng import generator, stream
 # operators with more than this many matrix entries.
 DEFAULT_MATERIALIZE_LIMIT = 1 << 24
 
+# ``to_dense`` applies the operator to identity blocks of at most this many
+# columns, so its temporaries stay a fraction of the matrix it fills.
+TO_DENSE_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -104,12 +108,18 @@ class SensingOperator(abc.ABC):
         return self.m * self.n <= self.materialize_limit
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the m x n matrix as A applied to the identity block."""
+        """Materialize the m x n matrix, A applied to the identity block by block."""
         if not self.materializable():
             raise ParameterError(
                 f"operator of size {self.m}x{self.n} exceeds its materialization limit"
             )
-        return self.apply(np.eye(self.n))
+        dense = np.empty((self.m, self.n))
+        for start in range(0, self.n, TO_DENSE_BLOCK):
+            width = min(TO_DENSE_BLOCK, self.n - start)
+            basis = np.zeros((self.n, width))
+            basis[start + np.arange(width), np.arange(width)] = 1.0
+            dense[:, start:start + width] = self.apply(basis)
+        return dense
 
     def __repr__(self):
         return f"<{type(self).__name__} kind={self.kind} m={self.m} n={self.n}>"

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor  # noqa: F401 -- perfbench/spans.py wraps it by name
 
 from .errors import (
     DivergenceError,
@@ -27,6 +26,9 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
+# cho_factor is bound here only because perfbench/spans.py rebinds it by name
+# in this module; the import can go once the tracer skips missing names.
+from .noise import cho_factor  # noqa: F401
 from .operators import SensingOperator, as_vector, operator_norm
 from .pinv import DEFAULT_RCOND, PinvEngine
 from .rng import derive_seed, generator
@@ -296,9 +298,12 @@ def gradient_descent(
         # every epoch makes new arrays, so a yielded model never changes afterwards
         yield LearnedLinearReconstructor(weights, bias, op), outputs, value
         if epoch < epochs:
-            grad_w = (2.0 / n_samples) * (r @ y_mat.T)
+            # scaled in place, so the step is the only (n, m) temporary
+            step = r @ y_mat.T
+            step *= 2.0 / n_samples
+            step *= learning_rate
+            weights = weights - step
             grad_b = (2.0 / n_samples) * r.sum(axis=1)
-            weights = weights - learning_rate * grad_w
             bias = bias - learning_rate * grad_b
 
 

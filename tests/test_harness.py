@@ -39,6 +39,7 @@ from projcorr.experiments import (
     run_train_dynamics,
 )
 from projcorr.metrics import mse
+from projcorr.reconstructors import measure_pairs
 from projcorr.tensorio import read_nit1, write_nit1, write_pgm
 
 from conftest import make_oracle_reconstructor
@@ -248,6 +249,26 @@ class TestReconstructAndCorrect:
         want = fit_learned_linear(op, _split_datasets(config, op, 0.01)[0], alpha=1e-3)
         assert np.array_equal(model.weights, want.weights)
         assert np.array_equal(model.bias, want.bias)
+
+    def test_learned_reconstructor_measures_only_training_images(self, monkeypatch):
+        config = ExperimentConfig.from_dict({
+            "operator": {"kind": "inpainting_mask", "height": 16, "width": 16,
+                         "keep_probability": 0.5, "seed": 7},
+            "reconstructor": {"kind": "learned_linear", "alpha": 1e-3},
+            "dataset": {"type": "synthetic", "count": 6, "test_count": 4, "seed": 3},
+            "base_seed": 11,
+        })
+        measured = []
+
+        def counting(op, images, *args):
+            measured.append(len(images))
+            return measure_pairs(op, images, *args)
+
+        monkeypatch.setattr("projcorr.experiments.measure_pairs", counting)
+        op = build_operator(config.operator)
+        engine = build_engine(op, config.operator, config.correction)
+        _build_reconstructor(config, op, engine, 0.01, "learned_linear")
+        assert sum(measured) == 6
 
     def test_corrected_dominates_network_noise_free(self, simulated, tmp_path):
         recon_out = tmp_path / "recons"
@@ -650,5 +671,42 @@ def test_benchmark_tracer_installs():
     result = subprocess.run(
         [sys.executable, "-c", TRACED_RUN],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+SCIPY_FREE_RUN = """
+import sys
+
+import numpy as np
+
+import projcorr.cli
+from projcorr.config import ExperimentConfig
+from projcorr.experiments import run_train_dynamics
+from projcorr.metrics import ssim
+
+run_train_dynamics(ExperimentConfig.from_dict({
+    "experiment": "train_dynamics",
+    "operator": {"kind": "gaussian_blur", "height": 16, "width": 16,
+                 "sigmas": [1.5, 0.8], "truncation": 2.0},
+    "reconstructor": {"kind": "trainable_linear", "epochs": 2},
+    "dataset": {"count": 8, "test_count": 4, "seed": 5},
+    "output_dir": sys.argv[1],
+}))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+ssim(np.ones(256), np.ones(256), projcorr.Geometry(16, 16, 1))
+assert "scipy.signal" in sys.modules
+"""
+
+
+def test_scipy_loads_only_for_ssim(tmp_path):
+    # SSIM is the package's only SciPy use; a fresh interpreter shows what
+    # importing the CLI and training a reconstructor load
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr

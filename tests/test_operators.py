@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,7 +194,6 @@ class TestGaussianBlur:
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_to_dense_is_column_stack_of_applies(self, channels):
-        # to_dense filters the identity as one block of images
         op = make_gaussian_blur(Geometry(8, 6, channels), (1.3, 0.6), truncation=2.0)
         assert np.array_equal(op.to_dense(), dense_circulant_oracle(op))
 
@@ -228,6 +229,29 @@ class TestGaussianBlur:
         out = op.apply(img.ravel()).reshape(8, 8, 3)
         for c in range(3):
             assert np.allclose(out[:, :, c], op1.apply(img[:, :, c].ravel()).reshape(8, 8))
+
+
+class TestToDense:
+    # to_dense fills the matrix from identity blocks of TO_DENSE_BLOCK columns;
+    # 585 columns leave a last block of 73
+    @pytest.mark.parametrize("make_op", [
+        lambda: make_gaussian_blur(Geometry(15, 13, 3), (1.3, 0.6), truncation=2.0),
+        lambda: make_inpainting_mask(Geometry(15, 13, 3), 0.5, seed=7),
+        lambda: make_gaussian_blur(Geometry(32, 32, 1), (3.0, 0.15)),
+    ], ids=["blur_585", "mask_585", "blur_criterion8"])
+    def test_equals_apply_to_identity(self, make_op):
+        op = make_op()
+        assert np.array_equal(op.to_dense(), op.apply(np.eye(op.n)))
+
+    def test_peak_memory_is_a_fraction_above_the_matrix(self):
+        op = make_gaussian_blur(Geometry(32, 32, 1), (3.0, 0.15))
+        tracemalloc.start()
+        try:
+            dense = op.to_dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * dense.nbytes
 
 
 class TestRandomProjection:
