@@ -2,9 +2,13 @@
 
 Besides MSE/PSNR/SSIM this module provides:
 
-* ``nullspace_consistency`` -- ||A (out - A+ y)||^2, how far a reconstruction
-  strays from "minimum-norm solution plus null-space component" form;
-* ``range_residual``        -- ||A out - y||^2, raw measurement misfit;
+* ``nullspace_consistency`` -- ||A out - A A+ y||^2, how far a reconstruction
+  strays from "minimum-norm solution plus null-space component" form; A A+ y
+  is the engine's ``range_projector_apply(y)``, which on the CG engine is y
+  itself (full row rank is assumed there), so it runs no solve;
+* ``range_residual``        -- ||A out - y||^2, raw measurement misfit; it
+  equals ``nullspace_consistency`` wherever A has full row rank (mask, CG),
+  since A A+ = I there;
 * ``noise_bias_trace``      -- Tr(A+ S (A+)^T), the expected squared error a
   consistency-preserving reconstructor inherits from noise covariance S.
   On an engine's spectrum it is sum_i (U^H S U)_ii / |s_i|^2 over the
@@ -141,10 +145,8 @@ def mean_quality(out, truth, geometry: Optional[Geometry]) -> Tuple[float, Optio
 
 
 def nullspace_consistency(engine: PinvEngine, y, out):
-    """||A (out - A+ y)||^2: zero iff ``out`` keeps the measured component."""
-    y = engine.op._check_measurement(y)
-    out = engine.op._check_signal(out)
-    return _squared_norm(engine.op.apply(out - engine.pinv_apply(y)))
+    """||A out - A A+ y||^2: zero iff ``out`` keeps the measured component."""
+    return _squared_norm(engine.op.apply(out) - engine.range_projector_apply(y))
 
 
 def range_residual(op: SensingOperator, y, out):

@@ -5,9 +5,12 @@ One engine is bound to one operator and has one numerical operation,
 where a None input counts as zero.  Its default weight = inf is the hard
 constraint, A+ y + (I - A+ A) fhat, so ``pinv_apply(y)`` is solve(y, None)
 and ``nullspace_projector_apply(v)`` is solve(None, v); a finite weight is
-Tikhonov (fhat = None) or the regularized correction.  Every engine but
-the CG one holds a decomposition A = U diag(s) V^H, computed once at
-construction:
+Tikhonov (fhat = None) or the regularized correction.  Beside
+``pinv_apply`` and ``nullspace_projector_apply``, ``range_projector_apply(y)``
+is A A+ y, the part of y in the range of A: A applied to ``pinv_apply(y)``,
+except on the CG engine, which assumes full row rank and so returns y
+itself without a solve.  Every engine but the CG one holds a decomposition
+A = U diag(s) V^H, computed once at construction:
 
 * ``svd_dense``       -- truncated SVD of the materialized matrix
 * ``mask_analytic``   -- U = I, V = the kept columns of the identity, s = 1
@@ -193,6 +196,10 @@ class PinvEngine:
         """(I - A+ A) v: v without its components along retained directions."""
         return self.solve(None, v)
 
+    def range_projector_apply(self, y) -> np.ndarray:
+        """A A+ y: the component of y in the range of A."""
+        return self.op.apply(self.pinv_apply(y))
+
     def __repr__(self):
         return f"<{type(self).__name__} method={self.method} op={self.op!r}>"
 
@@ -291,10 +298,17 @@ class CgEngine(PinvEngine):
     """Matrix-free solves by CG on the dual system (A A^T + I / weight) z = r.
 
     Assumes full row rank (A A^T nonsingular) for ``weight = inf``;
-    rank-deficient operators should use the dense SVD engine instead.
+    rank-deficient operators should use the dense SVD engine instead.  Under
+    that assumption A A+ = I, so ``range_projector_apply`` returns a copy of
+    y.  On a rank-deficient operator with y outside the range of A, where
+    the solve raises ``SolverError``, ``metrics.nullspace_consistency``
+    therefore reports ||A out - y||^2 instead of raising.
     """
 
     method = "cg_minimum_norm"
+
+    def range_projector_apply(self, y) -> np.ndarray:
+        return self.op._check_measurement(y).copy()
 
     def solve(self, y, fhat, weight: float = math.inf) -> np.ndarray:
         return self.dual_solve(y, fhat, None if weight == math.inf else lambda z: z / weight)

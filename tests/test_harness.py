@@ -618,6 +618,44 @@ class TestCli:
         lines = (out / "sweep_lambda.csv").read_text().strip().splitlines()
         assert len(lines) == 3
 
+    def test_pipeline_solves_once_per_solving_stage(self, tmp_path, monkeypatch):
+        # every CG solve goes through dual_solve: reconstruct (Tikhonov) and
+        # correct (exact) make one block solve each, and evaluate reads the
+        # consistency metric off the range projector without solving
+        from projcorr.pinv import PinvEngine
+
+        calls = []
+        dual_solve = PinvEngine.dual_solve
+
+        def counted(engine, *args, **kwargs):
+            calls.append(engine.method)
+            return dual_solve(engine, *args, **kwargs)
+
+        monkeypatch.setattr(PinvEngine, "dual_solve", counted)
+        cfg_path = tmp_path / "cfg.json"
+        ExperimentConfig.from_dict({
+            "operator": {"kind": "random_projection", "height": 16, "width": 16, "m": 32},
+            "reconstructor": {"kind": "tikhonov", "alpha": 1e-2,
+                              "pattern": "corrected_{image_id}.nit1"},
+            "dataset": {"type": "synthetic", "count": 3},
+        }).save(cfg_path)
+        sim, rec, cor, ev = (tmp_path / d for d in ("sim", "rec", "cor", "ev"))
+        manifest = sim / "manifest.json"
+        stages = [
+            ("simulate", ["--out", sim, "--sigma", 0.01], 0),
+            ("reconstruct", ["--manifest", manifest, "--out", rec], 1),
+            ("correct", ["--manifest", manifest, "--recon-dir", rec, "--mode", "exact",
+                         "--out", cor], 1),
+            ("evaluate", ["--manifest", manifest, "--recon-dir", cor / "corrected",
+                          "--out", ev], 0),
+        ]
+        for stage, flags, solves in stages:
+            calls.clear()
+            code = cli_main([stage, "--config", str(cfg_path)] + [str(f) for f in flags])
+            assert code == 0, stage
+            assert calls == ["cg_minimum_norm"] * solves, stage
+        assert (ev / "metrics.csv").exists()
+
 
 def test_smooth_images_deterministic_and_bounded():
     from projcorr.operators import Geometry

@@ -164,6 +164,34 @@ class TestNullspaceConsistency:
         expected = np.linalg.norm(a @ (out - np.linalg.pinv(a) @ y)) ** 2
         assert nullspace_consistency(engine, y, out) == pytest.approx(expected, rel=1e-10)
 
+    def test_rank_deficient_matches_dense_evaluation(self, rng):
+        # A A+ != I here, so y's component outside the range of A is dropped
+        a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9))
+        engine = make_engine(DenseOperator(a))
+        y = rng.standard_normal(6)
+        out = rng.standard_normal(9)
+        expected = np.linalg.norm(a @ (out - np.linalg.pinv(a) @ y)) ** 2
+        assert expected < np.linalg.norm(a @ out - y) ** 2
+        assert nullspace_consistency(engine, y, out) == pytest.approx(expected, rel=1e-10)
+
+    def test_cg_engine_matches_dense_evaluation(self, rng):
+        a = rng.standard_normal((5, 9))
+        engine = make_engine(DenseOperator(a), method="cg_minimum_norm")
+        assert isinstance(engine, CgEngine)
+        y = rng.standard_normal((5, 2))
+        out = rng.standard_normal((9, 2))
+        expected = np.sum((a @ (out - np.linalg.pinv(a) @ y)) ** 2, axis=0)
+        assert np.allclose(nullspace_consistency(engine, y, out), expected, rtol=1e-10, atol=0)
+
+    def test_cg_engine_on_rank_deficient_operator_reports_range_residual(self, rng):
+        # the CG engine assumes full row rank, so for y outside the range of
+        # A it reports ||A out - y||^2 where a pseudoinverse solve would fail
+        op = DenseOperator(rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9)))
+        engine = make_engine(op, method="cg_minimum_norm")
+        y = rng.standard_normal(6)
+        out = rng.standard_normal(9)
+        assert nullspace_consistency(engine, y, out) == range_residual(op, y, out)
+
     def test_invariant_under_null_space_shift(self, rng):
         a = rng.standard_normal((3, 7))
         op = DenseOperator(a)

@@ -135,6 +135,31 @@ class TestProjectors:
                 assert np.linalg.norm(engine.nullspace_projector_apply(pn) - pn) <= 1e-9 * np.linalg.norm(v)
                 assert np.linalg.norm(pr + pn - v) <= 1e-10 * (np.linalg.norm(v) + 1.0)
 
+    def test_measurement_range_projector_matches_apply_of_pinv(self, rng):
+        # A A+ y on every engine, against A applied to the solve
+        for engine in _all_engines(rng):
+            for y in (rng.standard_normal(engine.op.m), rng.standard_normal((engine.op.m, 3))):
+                want = engine.op.apply(engine.pinv_apply(y))
+                got = engine.range_projector_apply(y)
+                assert got.shape == want.shape, engine
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), engine
+
+    def test_rank_deficient_measurement_range_projector(self, rng):
+        engine = _engine_zoo(rng)[1]
+        assert isinstance(engine, SvdEngine) and engine.s.size < engine.op.m
+        y = rng.standard_normal(engine.op.m)
+        py = engine.range_projector_apply(y)
+        assert np.linalg.norm(py - y) >= 0.1 * np.linalg.norm(y)
+        assert np.linalg.norm(engine.range_projector_apply(py) - py) <= 1e-12 * np.linalg.norm(y)
+
+    def test_cg_range_projector_returns_a_copy_of_y(self, rng):
+        # the CG engine assumes full row rank, so A A+ = I
+        engine = CgEngine(make_random_projection(32, 8, seed=2))
+        for y in (rng.standard_normal(engine.op.m), rng.standard_normal((engine.op.m, 2))):
+            py = engine.range_projector_apply(y)
+            assert np.array_equal(py, y)
+            assert not np.shares_memory(py, y)
+
 
 class TestMoorePenroseAxioms:
     def test_axioms_all_engine_kinds(self, engine_zoo):
