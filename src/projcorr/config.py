@@ -243,6 +243,10 @@ def build_engine(op: SensingOperator, spec: OperatorSpec,
 
 
 def operator_manifest(spec: OperatorSpec) -> dict:
-    """Operator parameters recorded into simulation manifests for replay."""
+    """Operator parameters recorded into simulation manifests for replay.
+
+    Unset parameters are left out, except a null ``height`` or ``width``:
+    dropping those would replay the 32x32 default geometry.
+    """
     d = asdict(spec)
-    return {k: v for k, v in d.items() if v is not None}
+    return {k: v for k, v in d.items() if v is not None or k in ("height", "width")}

@@ -210,7 +210,7 @@ class MetricsRecord:
     lam: Optional[float]
     mse: float
     psnr: float
-    ssim: float
+    ssim: Optional[float]
     nullspace_consistency: float
     range_residual: float
 
@@ -228,8 +228,10 @@ def evaluate_reconstruction(
 
     For an ``(n, N)`` block of reconstructions, with ``x_true`` and ``y``
     blocks and one id per column in ``image_id``, returns a list of rows.
+    SSIM is None where ``ssim_applies(op.geometry)`` is false.
     """
     op = engine.op
+    scores_ssim = ssim_applies(op.geometry)
     x_true = op._check_signal(x_true)
     output = op._check_signal(output)
     consistency = nullspace_consistency(engine, y, output)
@@ -242,7 +244,7 @@ def evaluate_reconstruction(
             lam=lam,
             mse=mse(out, x),
             psnr=psnr(out, x),
-            ssim=ssim(out, x, geometry=op.geometry),
+            ssim=ssim(out, x, geometry=op.geometry) if scores_ssim else None,
             nullspace_consistency=float(null),
             range_residual=float(misfit),
         )

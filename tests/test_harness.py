@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -27,8 +28,8 @@ from projcorr.experiments import (
     METRICS_COLUMNS,
     SWEEP_COLUMNS,
     TRAIN_DYNAMICS_COLUMNS,
-    _build_reconstructor,
     _split_datasets,
+    _Stage,
     make_smooth_images,
     run_bench,
     run_correct,
@@ -244,8 +245,9 @@ class TestReconstructAndCorrect:
             "base_seed": 11,
         })
         op = build_operator(config.operator)
-        engine = build_engine(op, config.operator, config.correction)
-        model = _build_reconstructor(config, op, engine, 0.01, "learned_linear")
+        stage = _Stage(config)
+        stage.sigma = 0.01
+        model = stage.reconstructor("learned_linear")
         want = fit_learned_linear(op, _split_datasets(config, op, 0.01)[0], alpha=1e-3)
         assert np.array_equal(model.weights, want.weights)
         assert np.array_equal(model.bias, want.bias)
@@ -265,9 +267,9 @@ class TestReconstructAndCorrect:
             return measure_pairs(op, images, *args)
 
         monkeypatch.setattr("projcorr.experiments.measure_pairs", counting)
-        op = build_operator(config.operator)
-        engine = build_engine(op, config.operator, config.correction)
-        _build_reconstructor(config, op, engine, 0.01, "learned_linear")
+        stage = _Stage(config)
+        stage.sigma = 0.01
+        stage.reconstructor("learned_linear")
         assert sum(measured) == 6
 
     def test_corrected_dominates_network_noise_free(self, simulated, tmp_path):
@@ -655,6 +657,93 @@ class TestCli:
             assert code == 0, stage
             assert calls == ["cg_minimum_norm"] * solves, stage
         assert (ev / "metrics.csv").exists()
+
+    @staticmethod
+    def run_pipeline(tmp_path, capsys, config):
+        """simulate, reconstruct, correct and evaluate through the CLI.
+
+        Returns the manifest and the rows of both metrics tables.
+        """
+        cfg_path = tmp_path / "cfg.json"
+        ExperimentConfig.from_dict(dict(config, reconstructor={
+            "kind": "adjoint", "pattern": "corrected_{image_id}.nit1"})).save(cfg_path)
+        sim, rec, cor, ev = (tmp_path / d for d in ("sim", "rec", "cor", "ev"))
+        manifest = sim / "manifest.json"
+        stages = [
+            ("simulate", ["--out", sim, "--sigma", 0.01]),
+            ("reconstruct", ["--manifest", manifest, "--out", rec]),
+            ("correct", ["--manifest", manifest, "--recon-dir", rec, "--out", cor]),
+            ("evaluate", ["--manifest", manifest, "--recon-dir", cor / "corrected",
+                          "--out", ev]),
+        ]
+        for stage, flags in stages:
+            code = cli_main([stage, "--config", str(cfg_path)] + [str(f) for f in flags])
+            assert code == 0, (stage, capsys.readouterr().err)
+        tables = []
+        for root in (cor, ev):
+            with open(root / "metrics.csv", newline="") as fh:
+                tables.append(list(csv.DictReader(fh)))
+        return json.loads(manifest.read_text()), tables
+
+    def test_round_trip_without_geometry(self, tmp_path, capsys):
+        # a 30x100 random projection with no image geometry on two ingested
+        # images: every later stage replays the 100-column operator
+        rng = np.random.default_rng(0)
+        paths = []
+        for i in range(2):
+            paths.append(str(tmp_path / f"truth{i}.nit1"))
+            write_nit1(paths[-1], rng.uniform(0.1, 0.9, 100))
+        manifest, (corrected, evaluated) = self.run_pipeline(tmp_path, capsys, {
+            "operator": {"kind": "random_projection", "height": None, "width": None,
+                         "n": 100, "m": 30},
+            "dataset": {"type": "ingested", "paths": paths},
+        })
+        assert manifest["operator"]["height"] is None
+        assert manifest["operator"]["width"] is None
+        assert read_nit1(tmp_path / "rec" / "recon_img0000.nit1").size == 100
+        assert len(corrected) == 4 and len(evaluated) == 2
+        assert all(row["ssim"] == "" for row in corrected + evaluated)
+
+    def test_round_trip_below_the_ssim_window(self, tmp_path, capsys):
+        # 10x10 images hold no 11x11 SSIM window: the SSIM cells stay empty
+        _, (corrected, evaluated) = self.run_pipeline(tmp_path, capsys, {
+            "operator": {"kind": "random_projection", "height": 10, "width": 10, "m": 30},
+            "dataset": {"type": "synthetic", "count": 3},
+        })
+        assert len(corrected) == 6 and len(evaluated) == 3
+        assert all(row["ssim"] == "" for row in corrected + evaluated)
+        assert all(np.isfinite(float(row["psnr"])) for row in corrected + evaluated)
+
+
+class TestLazyEngine:
+    """Stages that use no engine build none, so a dense operator runs no SVD."""
+
+    @pytest.fixture
+    def no_svd(self, tmp_path, monkeypatch):
+        matrix = np.random.default_rng(4).standard_normal((60, 256))
+        write_nit1(tmp_path / "a.nit1", matrix)
+        config = simulate_config(tmp_path / "sim", sigma=0.01, count=2, kind="dense",
+                                 matrix_path=str(tmp_path / "a.nit1"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        return config
+
+    def test_simulate_dense_runs_no_svd(self, no_svd, tmp_path):
+        assert run_simulate(no_svd)["count"] == 2
+
+    def test_adjoint_reconstruct_runs_no_svd(self, no_svd, tmp_path):
+        run_simulate(no_svd)
+        summary = run_reconstruct(ExperimentConfig.from_dict({
+            "experiment": "reconstruct",
+            "reconstructor": {"kind": "adjoint"},
+            "dataset": {"manifest": str(tmp_path / "sim" / "manifest.json")},
+            "output_dir": str(tmp_path / "rec"),
+        }))
+        assert summary["count"] == 2
+        assert read_nit1(tmp_path / "rec" / "recon_img0001.nit1").size == 256
 
 
 def test_smooth_images_deterministic_and_bounded():
